@@ -13,11 +13,13 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .central_series import series_profile
 from .closure import (
+    DEFAULT_SEARCH_BUDGET,
+    RAW_MODULUS_LIMIT,
     IsoStatus,
     canonicalized_elements,
     close_pairs,
@@ -36,52 +38,29 @@ from .orders import (
     order_report,
 )
 
-CSV_COLUMNS = (
-    "m",
-    "p_order",
-    "lambda_order",
-    "t_right",
-    "t_left",
-    "per_minus2",
-    "per_plus2",
-    "iso_gupta",
-    "verified",
-)
-
 DEFAULT_PAIRS_VERIFY_LIMIT = 512
-RAW_VERIFY_LIMIT = 128
 
 
 @dataclass(frozen=True, slots=True)
 class TableRow:
-    """One table row: orders, dispatch lengths, orbit data, series orders,
-    the isomorphism flag, and how far the row was verified."""
+    """One table row, one field per output column: orders, dispatch lengths,
+    orbit periods, the isomorphism flag, and how far the row was verified."""
 
     m: int
     p_order: int
     lambda_order: int
     t_right: int
     t_left: int
-    ind_minus2: int
     per_minus2: int
-    ind_plus2: int
     per_plus2: int
-    center_orders: tuple[int, ...]
     iso_gupta: bool
     verified: str
 
     def csv_record(self) -> dict:
-        return {
-            "m": self.m,
-            "p_order": self.p_order,
-            "lambda_order": self.lambda_order,
-            "t_right": self.t_right,
-            "t_left": self.t_left,
-            "per_minus2": self.per_minus2,
-            "per_plus2": self.per_plus2,
-            "iso_gupta": self.iso_gupta,
-            "verified": self.verified,
-        }
+        return asdict(self)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(TableRow))
 
 
 class UsageError(Exception):
@@ -132,20 +111,14 @@ def build_row(m: int, verify_level: str) -> TableRow:
                         f"m={m} side={side}: raw-oracle element set differs from pair oracle"
                     )
             verified = "raw_verified"
-    prof_m2 = orbit_profile(-2, m)
-    prof_p2 = orbit_profile(2, m)
-    profile = series_profile(g)
     return TableRow(
         m=m,
         p_order=rep.p_order,
         lambda_order=rep.lambda_order,
         t_right=rep.t_right,
         t_left=rep.t_left,
-        ind_minus2=prof_m2.index,
-        per_minus2=prof_m2.period,
-        ind_plus2=prof_p2.index,
-        per_plus2=prof_p2.period,
-        center_orders=profile.orders,
+        per_minus2=orbit_profile(-2, m).period,
+        per_plus2=orbit_profile(2, m).period,
         iso_gupta=rep.iso_pl == "isomorphic",
         verified=verified,
     )
@@ -213,8 +186,8 @@ def _cmd_table(args) -> int:
         raise UsageError(f"--from must be at least 3, got {args.start_m}")
     if args.start_m > args.end_m:
         raise UsageError(f"--from {args.start_m} exceeds --to {args.end_m}")
-    if args.verify == "raw" and args.end_m > RAW_VERIFY_LIMIT:
-        raise UsageError(f"--verify raw is limited to m <= {RAW_VERIFY_LIMIT}")
+    if args.verify == "raw" and args.end_m > RAW_MODULUS_LIMIT:
+        raise UsageError(f"--verify raw is limited to m <= {RAW_MODULUS_LIMIT}")
     rows = [
         build_row(m, _row_verify_level(m, args.verify))
         for m in range(args.start_m, args.end_m + 1)
@@ -301,6 +274,10 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    if args.budget < 0:
+        raise UsageError(f"--budget must be at least 0, got {args.budget}")
+    if args.m2 is None and args.side is not None:
+        raise UsageError("--side needs --m2; P(D_m) vs L(D_m) always compares both sides")
     g1 = GroupParams.from_modulus(args.m)
     inconclusive = False
     if args.m2 is None:
@@ -314,7 +291,7 @@ def _cmd_iso(args) -> int:
         inconclusive = result.status is IsoStatus.BUDGET_EXHAUSTED
     else:
         g2 = GroupParams.from_modulus(args.m2)
-        sides = SIDES if args.side == "both" else (args.side,)
+        sides = SIDES if args.side in (None, "both") else (args.side,)
         for side in sides:
             name = "P" if side == "right" else "L"
             result = search_isomorphism(
@@ -438,8 +415,8 @@ def build_parser() -> _Parser:
     p_iso = sub.add_parser("iso", help="isomorphism search between semigroups")
     p_iso.add_argument("--m", type=int, required=True)
     p_iso.add_argument("--m2", type=int, default=None)
-    p_iso.add_argument("--side", choices=("right", "left", "both"), default="both")
-    p_iso.add_argument("--budget", type=int, default=10_000_000)
+    p_iso.add_argument("--side", choices=("right", "left", "both"), default=None)
+    p_iso.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
     p_iso.set_defaults(func=_cmd_iso)
 
     p_claims = sub.add_parser("verify-claims", help="run the counterexample suite")
@@ -453,10 +430,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ParameterError, ResourceLimitError) as exc:
+    except (UsageError, ParameterError, ResourceLimitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except VerificationFailure as exc:

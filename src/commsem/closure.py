@@ -191,37 +191,22 @@ def container_powers_cover_closure(g: GroupParams, side: str) -> bool:
     return frozenset(union) == close_pairs(side, g).element_set
 
 
-def verify_iso_map_detail(
-    g: GroupParams, image_rule: Callable[[int, int], tuple[int, int]]
-) -> tuple[bool, str | None]:
-    """Check whether the parameter rule is an isomorphism from the right onto
-    the left semigroup; on failure, say what broke."""
-    source = close_pairs("right", g)
-    target = close_pairs("left", g)
-    target_set = target.element_set
-    mapping: dict[CanonicalMap, CanonicalMap] = {}
-    for elem in sorted(source.element_set):
-        a2, b2 = image_rule(elem.scale, elem.shift_class)
-        image = CanonicalMap(a2, b2, g.m)
-        if image not in target_set:
-            return False, (
-                f"image of ({elem.scale}, {elem.shift_class}) lies outside the left semigroup"
-            )
-        mapping[elem] = image
-    if len(set(mapping.values())) != len(mapping) or len(mapping) != target.size:
-        return False, "rule is not a bijection onto the left semigroup"
-    for f in mapping:
-        for h in mapping:
-            if mapping[f].then(mapping[h]) != mapping[f.then(h)]:
-                return False, (
-                    f"composition broken at ({f.scale}, {f.shift_class}) o "
-                    f"({h.scale}, {h.shift_class})"
-                )
-    return True, None
-
-
 def verify_iso_map(g: GroupParams, image_rule: Callable[[int, int], tuple[int, int]]) -> bool:
-    return verify_iso_map_detail(g, image_rule)[0]
+    """Whether the parameter rule is an isomorphism from the right onto the
+    left semigroup: a bijection that preserves every product."""
+    source = sorted(close_pairs("right", g).element_set)
+    target = sorted(close_pairs("left", g).element_set)
+    position = {e: k for k, e in enumerate(target)}
+    perm = np.asarray(
+        [
+            position.get(CanonicalMap(*image_rule(e.scale, e.shift_class), g.m), -1)
+            for e in source
+        ],
+        dtype=np.int64,
+    )
+    if len(source) != len(target) or (perm < 0).any() or np.unique(perm).size != perm.size:
+        return False
+    return _preserves_products(perm, _mult_table(source), _mult_table(target))
 
 
 class IsoStatus(Enum):
@@ -261,6 +246,11 @@ def _mult_table(elems: list[CanonicalMap]) -> np.ndarray:
     if (table < 0).any():
         raise ConsistencyError("element set is not closed under composition")
     return table
+
+
+def _preserves_products(perm: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> bool:
+    """Whether x -> perm[x] carries every product of t1 to the product in t2."""
+    return bool((perm[t1] == t2[perm][:, perm]).all())
 
 
 def _monogenic_profile(table: np.ndarray, x: int) -> tuple[int, int]:
@@ -457,8 +447,7 @@ def search_isomorphism(
         if k == len(order):
             if len(domain) != n:
                 return False
-            perm = np.asarray(phi, dtype=np.int64)
-            return bool((perm[t1] == t2[perm][:, perm]).all())
+            return _preserves_products(np.asarray(phi, dtype=np.int64), t1, t2)
         x = order[k]
         if phi[x] >= 0:
             return dfs(k + 1)

@@ -115,10 +115,6 @@ class Decomposition:
     side: str
     t: int
 
-    @property
-    def modulus(self) -> int:
-        return self.parts[0].modulus
-
     def part_sizes(self, g: GroupParams) -> tuple[int, ...]:
         return tuple(
             container_cardinality(part, g, series_index=max(i, 1))

@@ -42,10 +42,6 @@ class GroupParams:
             ell += 1
         return cls(m, ell, n)
 
-    @property
-    def group_order(self) -> int:
-        return 2 * self.m
-
     def element(self, i: int, j: int) -> "DihedralElement":
         return DihedralElement(i % self.m, j % 2, self.m)
 

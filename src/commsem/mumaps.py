@@ -128,19 +128,6 @@ def lambda_map(r: int, s: int, g: GroupParams) -> AffineMap:
     return mu_map(-beta(s), -r * alpha(s), g)
 
 
-def mu_apply(f: AffineMap, x: DihedralElement) -> DihedralElement:
-    return f.apply(x)
-
-
-def compose(f: AffineMap, h: AffineMap) -> AffineMap:
-    """Apply f, then h."""
-    return f.then(h)
-
-
-def canonicalize(f: AffineMap) -> CanonicalMap:
-    return f.canonical()
-
-
 def function_table(f: AffineMap, g: GroupParams) -> tuple[int, ...]:
     """Images of all 2m elements, as indices in enumeration order."""
     if f.modulus != g.m:

@@ -5,7 +5,7 @@ import io
 import json
 
 from commsem import cli
-from commsem.closure import SemigroupSummary
+from commsem.closure import DEFAULT_SEARCH_BUDGET, RAW_MODULUS_LIMIT, SemigroupSummary
 from reference_orders import REFERENCE_ORDERS
 
 
@@ -49,6 +49,7 @@ def test_table_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "table", "--from", "3", "--to", "200", "--verify", "raw")
     assert code == 1 and "raw" in err
+    assert f"m <= {RAW_MODULUS_LIMIT}" in err
 
 
 def test_table_csv_round_trip(capsys):
@@ -178,6 +179,21 @@ def test_iso_command(capsys):
     assert code == 0 and out.count("isomorphic_with_witness") == 2
     code, out, _ = run_cli(capsys, "iso", "--m", "20", "--budget", "1")
     assert code == 2 and "budget_exhausted" in out
+    args = cli.build_parser().parse_args(["iso", "--m", "8"])
+    assert args.budget == DEFAULT_SEARCH_BUDGET
+    # --side picks the comparisons of an --m/--m2 query
+    code, out, _ = run_cli(capsys, "iso", "--m", "10", "--m2", "5", "--side", "right")
+    assert code == 0 and out.startswith("P(D_10) vs P(D_5)") and out.count("\n") == 1
+    # a zero budget still answers from colour refinement alone
+    code, out, _ = run_cli(capsys, "iso", "--m", "15", "--budget", "0")
+    assert code == 0 and "not_isomorphic" in out
+
+
+def test_iso_usage_errors(capsys):
+    code, out, err = run_cli(capsys, "iso", "--m", "20", "--budget", "-5")
+    assert code == 1 and not out and "--budget" in err
+    code, out, err = run_cli(capsys, "iso", "--m", "8", "--side", "right")
+    assert code == 1 and not out and "--m2" in err
 
 
 def test_verify_claims_command(capsys):

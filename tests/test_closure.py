@@ -17,7 +17,6 @@ from commsem import (
     order_central_series,
     search_isomorphism,
     verify_iso_map,
-    verify_iso_map_detail,
 )
 from support import check_oracle_agreement, check_pairs_match_formula
 
@@ -94,10 +93,15 @@ def test_container_powers_cover():
 def test_verify_iso_map_examples():
     g8 = GroupParams.from_modulus(8)
     assert verify_iso_map(g8, lambda a, b: (3 * a, b))
-    ok, detail = verify_iso_map_detail(g8, lambda a, b: (a, b))
-    assert not ok and "outside" in detail
+    # the identity rule sends some of P(D_8) outside L(D_8)
+    assert not verify_iso_map(g8, lambda a, b: (a, b))
     # the two sides of D_5 coincide as sets, so the identity rule works
-    assert verify_iso_map(GroupParams.from_modulus(5), lambda a, b: (a, b))
+    g5 = GroupParams.from_modulus(5)
+    assert verify_iso_map(g5, lambda a, b: (a, b))
+    # swapping shift classes 1 and 2 is a bijection but breaks composition
+    assert not verify_iso_map(g5, lambda a, b: (a, {1: 2, 2: 1}.get(b, b)))
+    # every image has shift class 0, so the rule is not a bijection
+    assert not verify_iso_map(g8, lambda a, b: (3 * a, 0))
 
 
 def test_search_same_modulus():
