@@ -19,6 +19,7 @@ from . import __version__
 from .central_series import series_profile
 from .closure import (
     DEFAULT_SEARCH_BUDGET,
+    PAIRS_MODULUS_LIMIT,
     RAW_MODULUS_LIMIT,
     IsoStatus,
     canonicalized_elements,
@@ -186,8 +187,9 @@ def _cmd_table(args) -> int:
         raise UsageError(f"--from must be at least 3, got {args.start_m}")
     if args.start_m > args.end_m:
         raise UsageError(f"--from {args.start_m} exceeds --to {args.end_m}")
-    if args.verify == "raw" and args.end_m > RAW_MODULUS_LIMIT:
-        raise UsageError(f"--verify raw is limited to m <= {RAW_MODULUS_LIMIT}")
+    limit = {"raw": RAW_MODULUS_LIMIT, "pairs": PAIRS_MODULUS_LIMIT}.get(args.verify)
+    if limit is not None and args.end_m > limit:
+        raise UsageError(f"--verify {args.verify} is limited to m <= {limit}")
     rows = [
         build_row(m, _row_verify_level(m, args.verify))
         for m in range(args.start_m, args.end_m + 1)

@@ -25,10 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .containers import Container, check_side, container_members, container_product
+from .containers import Container, base_scale, check_side, container_members, container_product
 from .dihedral import GroupParams, commutator, element_index, enumerate_elements
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
-from .mumaps import CanonicalMap, alpha, beta, function_table
+from .mumaps import CanonicalMap, alpha, beta, function_table, shift_modulus
 
 RAW_MODULUS_LIMIT = 128
 PAIRS_MODULUS_LIMIT = 4096
@@ -43,17 +43,20 @@ PAIRS_ORACLE = "mu_pairs"
 class SemigroupSummary:
     """One closed commutation semigroup with its element set and provenance.
 
-    element_set holds CanonicalMap values for the pair oracle and int16
-    little-endian image-table digests (decodable with numpy) for the raw
-    oracle.
+    element_set holds CanonicalMap.key ints for the pair oracle (decode with
+    CanonicalMap.from_key) and int16 little-endian image tables, as bytes
+    (decodable with numpy), for the raw oracle.
     """
 
     m: int
     side: str
-    size: int
     generator_count: int
     oracle: str
     element_set: frozenset
+
+    @property
+    def size(self) -> int:
+        return len(self.element_set)
 
 
 def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
@@ -92,11 +95,11 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
                     known.add(key)
                     fresh.append(row)
         frontier = np.stack(fresh) if fresh else np.empty((0, n), dtype=np.int16)
-    return SemigroupSummary(g.m, side, len(known), len(gens), RAW_ORACLE, frozenset(known))
+    return SemigroupSummary(g.m, side, len(gens), RAW_ORACLE, frozenset(known))
 
 
 def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
-    """Close the commutation maps as canonical parameter pairs.
+    """Close the commutation maps as canonical parameter pairs (CanonicalMap keys).
 
     Composition multiplies both coordinates of the left factor by the scale
     of the right factor, so only the distinct generator scales matter when
@@ -106,41 +109,37 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     if g.m > PAIRS_MODULUS_LIMIT:
         raise ResourceLimitError(f"pair closure limited to m <= {PAIRS_MODULUS_LIMIT}")
     m = g.m
-    sm = m if m % 2 else m // 2
+    sm = shift_modulus(m)
     sign = -1 if side == "left" else 1
-    gens: set[tuple[int, int]] = set()
+    # keys are written inline as scale * sm + shift_class (CanonicalMap.key)
+    gens: set[int] = set()
     for s in (0, 1):
         scale = sign * beta(s) % m
         for r in range(m):
-            gens.add((scale, sign * r * alpha(s) % sm))
-    scales = {a for a, _ in gens}
+            gens.add(scale * sm + sign * r * alpha(s) % sm)
+    scales = {k // sm for k in gens}
     known = set(gens)
     stack = list(gens)
     while stack:
-        a1, b1 = stack.pop()
+        a1, b1 = divmod(stack.pop(), sm)
         for a2 in scales:
-            cand = (a1 * a2 % m, b1 * a2 % sm)
+            cand = a1 * a2 % m * sm + b1 * a2 % sm
             if cand not in known:
                 known.add(cand)
                 stack.append(cand)
-    element_set = frozenset(CanonicalMap(a, b, m) for a, b in known)
-    return SemigroupSummary(m, side, len(known), len(gens), PAIRS_ORACLE, element_set)
+    return SemigroupSummary(m, side, len(gens), PAIRS_ORACLE, frozenset(known))
 
 
 def raw_tables(summary: SemigroupSummary) -> tuple[tuple[int, ...], ...]:
     """Decode a raw summary's element set into image tables, sorted."""
     if summary.oracle != RAW_ORACLE:
         raise ParameterError("only raw-table summaries hold image tables")
-    return tuple(
-        sorted(
-            tuple(int(v) for v in np.frombuffer(key, dtype=np.int16))
-            for key in summary.element_set
-        )
-    )
+    blobs = summary.element_set
+    return tuple(sorted(tuple(np.frombuffer(b, dtype=np.int16).tolist()) for b in blobs))
 
 
-def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozenset[CanonicalMap]:
-    """Element set as canonical pairs, decoding raw tables when needed.
+def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozenset[int]:
+    """Element set as CanonicalMap keys, decoding raw tables when needed.
 
     Raw tables are decoded from the images of a and b alone, then the full
     table is recomputed from the decoded pair and compared entrywise; any
@@ -152,10 +151,10 @@ def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozens
     if summary.oracle == PAIRS_ORACLE:
         return summary.element_set
     m = g.m
-    sm = m if m % 2 else m // 2
-    out: set[CanonicalMap] = set()
-    for key in summary.element_set:
-        table = np.frombuffer(key, dtype=np.int16)
+    sm = shift_modulus(m)
+    out: set[int] = set()
+    for blob in summary.element_set:
+        table = np.frombuffer(blob, dtype=np.int16)
         scale = int(table[1])
         doubled_shift = int(table[m])
         if m % 2:
@@ -167,7 +166,7 @@ def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozens
         cand = CanonicalMap(scale, shift, m)
         if tuple(int(v) for v in table) != function_table(cand.as_map(), g):
             raise ConsistencyError("raw closure produced a table outside the map family")
-        out.add(cand)
+        out.add(cand.key)
     return frozenset(out)
 
 
@@ -180,33 +179,28 @@ def container_powers_cover_closure(g: GroupParams, side: str) -> bool:
         raise ResourceLimitError(
             f"container power cover check limited to m <= {POWER_COVER_MODULUS_LIMIT}"
         )
-    base = Container.from_pair(-2 if side == "right" else 2, 1, g)
+    base = Container.from_pair(base_scale(side), 1, g)
     union = set(container_members(Container.from_pair(0, 1, g)))
-    power = base
-    seen_keys: set[tuple[int, int]] = set()
-    while (power.scale, power.stride) not in seen_keys:
-        seen_keys.add((power.scale, power.stride))
+    power, seen = base, set()
+    while power not in seen:
+        seen.add(power)
         union |= container_members(power)
         power = container_product(power, base)
-    return frozenset(union) == close_pairs(side, g).element_set
+    return {e.key for e in union} == close_pairs(side, g).element_set
 
 
 def verify_iso_map(g: GroupParams, image_rule: Callable[[int, int], tuple[int, int]]) -> bool:
     """Whether the parameter rule is an isomorphism from the right onto the
     left semigroup: a bijection that preserves every product."""
+    sm = shift_modulus(g.m)
     source = sorted(close_pairs("right", g).element_set)
     target = sorted(close_pairs("left", g).element_set)
-    position = {e: k for k, e in enumerate(target)}
-    perm = np.asarray(
-        [
-            position.get(CanonicalMap(*image_rule(e.scale, e.shift_class), g.m), -1)
-            for e in source
-        ],
-        dtype=np.int64,
-    )
+    position = {k: i for i, k in enumerate(target)}
+    images = [CanonicalMap(*image_rule(*divmod(k, sm)), g.m).key for k in source]
+    perm = np.asarray([position.get(k, -1) for k in images], dtype=np.int64)
     if len(source) != len(target) or (perm < 0).any() or np.unique(perm).size != perm.size:
         return False
-    return _preserves_products(perm, _mult_table(source), _mult_table(target))
+    return _preserves_products(perm, _mult_table(source, g.m), _mult_table(target, g.m))
 
 
 class IsoStatus(Enum):
@@ -222,27 +216,17 @@ class IsoSearchResult:
     nodes: int
 
 
-def _element_list(summary: SemigroupSummary) -> list[CanonicalMap]:
-    if summary.oracle == PAIRS_ORACLE:
-        return sorted(summary.element_set)
-    g = GroupParams.from_modulus(summary.m)
-    return sorted(canonicalized_elements(summary, g))
-
-
-def _mult_table(elems: list[CanonicalMap]) -> np.ndarray:
-    """Index-valued multiplication table; raises if the set is not closed."""
-    m = elems[0].modulus
-    sm = elems[0].shift_modulus
-    scales = np.asarray([e.scale for e in elems], dtype=np.int64)
-    shifts = np.asarray([e.shift_class for e in elems], dtype=np.int64)
+def _mult_table(keys: list[int], m: int) -> np.ndarray:
+    """Index-valued multiplication table of CanonicalMap keys; raises if not closed."""
+    sm = shift_modulus(m)
+    keys = np.asarray(keys, dtype=np.int64)
+    scales, shifts = np.divmod(keys, sm)
     lookup = np.full(m * sm, -1, dtype=np.int64)
-    for k, e in enumerate(elems):
-        lookup[e.scale * sm + e.shift_class] = k
-    n = len(elems)
+    n = len(keys)
+    lookup[keys] = np.arange(n)
     table = np.empty((n, n), dtype=np.int64)
     for i in range(n):
-        keys = (scales[i] * scales % m) * sm + shifts[i] * scales % sm
-        table[i] = lookup[keys]
+        table[i] = lookup[(scales[i] * scales % m) * sm + shifts[i] * scales % sm]
     if (table < 0).any():
         raise ConsistencyError("element set is not closed under composition")
     return table
@@ -373,18 +357,23 @@ def search_isomorphism(
     """
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
-    e1 = _element_list(s1)
-    e2 = _element_list(s2)
-    if s1.m == s2.m and set(e1) == set(e2):
+    e1 = sorted(canonicalized_elements(s1, GroupParams.from_modulus(s1.m)))
+    e2 = sorted(canonicalized_elements(s2, GroupParams.from_modulus(s2.m)))
+    n = len(e1)
+
+    def witness(image) -> dict[CanonicalMap, CanonicalMap]:
+        decode = CanonicalMap.from_key
+        return {decode(e1[x], s1.m): decode(e2[w], s2.m) for x, w in enumerate(image)}
+
+    if s1.m == s2.m and e1 == e2:
         # same element set under the same composition rule: identity works
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, {x: x for x in e1}, 0)
-    t1 = _mult_table(e1)
-    t2 = _mult_table(e2)
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
+    t1 = _mult_table(e1, s1.m)
+    t2 = _mult_table(e2, s2.m)
     colors = _refine_colors(t1, t2)
     if colors is None:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
     col1, col2 = colors
-    n = len(e1)
     gens = _greedy_generators(t1)
     pool: dict[int, list[int]] = defaultdict(list)
     for w, c in enumerate(col2):
@@ -470,8 +459,7 @@ def search_isomorphism(
         return False
 
     if dfs(0):
-        witness = {e1[x]: e2[phi[x]] for x in range(n)}
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness, nodes)
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi), nodes)
     if budget_hit:
         return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)
     return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, nodes)

@@ -29,6 +29,12 @@ def check_side(side: str) -> str:
     return side
 
 
+def base_scale(side: str) -> int:
+    """Scale of the side's base container: -2 right, 2 left."""
+    check_side(side)
+    return -2 if side == "right" else 2
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class Container:
     """Canonical container key: scale, stride (a divisor of m), modulus."""
@@ -138,8 +144,7 @@ def decompose(side: str, g: GroupParams) -> Decomposition:
     scale x (-2 right, 2 left): ord(x) when m is odd, ell + period(x) - 1
     when m is even with odd part > 1, and ell - 1 when m is a power of two.
     """
-    check_side(side)
-    base = (-2 if side == "right" else 2) % g.m
+    base = base_scale(side) % g.m
     prof = orbit_profile(base, g.m)
     if g.ell == 0:
         t = prof.order

@@ -33,7 +33,8 @@ def beta(j: int) -> int:
     return 0 if j % 2 == 0 else -2
 
 
-def _shift_modulus(m: int) -> int:
+def shift_modulus(m: int) -> int:
+    """Modulus of the shift class: m for odd m, m/2 for even m."""
     return m if m % 2 else m // 2
 
 
@@ -71,7 +72,7 @@ class AffineMap:
 
     def canonical(self) -> "CanonicalMap":
         return CanonicalMap(
-            self.scale, self.shift % _shift_modulus(self.modulus), self.modulus
+            self.scale, self.shift % shift_modulus(self.modulus), self.modulus
         )
 
 
@@ -93,12 +94,21 @@ class CanonicalMap:
             raise ParameterError(f"map modulus must be at least 3, got {self.modulus}")
         object.__setattr__(self, "scale", self.scale % self.modulus)
         object.__setattr__(
-            self, "shift_class", self.shift_class % _shift_modulus(self.modulus)
+            self, "shift_class", self.shift_class % shift_modulus(self.modulus)
         )
 
     @property
     def shift_modulus(self) -> int:
-        return _shift_modulus(self.modulus)
+        return shift_modulus(self.modulus)
+
+    @property
+    def key(self) -> int:
+        """One int per class; keys of one modulus sort exactly as the maps do."""
+        return self.scale * self.shift_modulus + self.shift_class
+
+    @classmethod
+    def from_key(cls, key: int, m: int) -> "CanonicalMap":
+        return cls(*divmod(key, shift_modulus(m)), m)
 
     def then(self, other: "CanonicalMap") -> "CanonicalMap":
         if other.modulus != self.modulus:

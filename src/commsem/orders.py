@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .central_series import center_order
-from .containers import SIDES, check_side, decompose
+from .containers import SIDES, base_scale, check_side, decompose
 from .dihedral import GroupParams
 from .errors import ConsistencyError, ParameterError
 from .modular import (
@@ -31,16 +31,11 @@ from .modular import (
 )
 
 
-def _base_scale(side: str) -> int:
-    check_side(side)
-    return -2 if side == "right" else 2
-
-
 def series_length(side: str, g: GroupParams) -> int:
     """Summation length t of the central-series formula.  The container cover
     of the same side always has exactly t parts (one more power container
     would already repeat)."""
-    prof = orbit_profile(_base_scale(side), g.m)
+    prof = orbit_profile(base_scale(side), g.m)
     if g.ell == 0:
         return 1 + prof.order
     if g.n > 1:
@@ -66,7 +61,7 @@ def order_central_series(side: str, g: GroupParams) -> int:
 
 def order_casewise(side: str, g: GroupParams) -> int:
     """Semigroup order via the per-case numeric formulas."""
-    base = _base_scale(side)
+    base = base_scale(side)
     if g.ell == 0:
         return g.m * (multiplicative_order(base, g.m) + 1)
     core = (1 << g.ell) + (1 << (g.ell - 1)) - 2
@@ -77,7 +72,7 @@ def order_casewise(side: str, g: GroupParams) -> int:
 
 def order_repeat_exponent(side: str, g: GroupParams) -> int:
     """Semigroup order via literal first-repeat exponent searches."""
-    base = _base_scale(side)
+    base = base_scale(side)
     m = g.m
     if g.ell == 0:
         i, value = 1, base % m

@@ -5,7 +5,12 @@ import io
 import json
 
 from commsem import cli
-from commsem.closure import DEFAULT_SEARCH_BUDGET, RAW_MODULUS_LIMIT, SemigroupSummary
+from commsem.closure import (
+    DEFAULT_SEARCH_BUDGET,
+    PAIRS_MODULUS_LIMIT,
+    RAW_MODULUS_LIMIT,
+    SemigroupSummary,
+)
 from reference_orders import REFERENCE_ORDERS
 
 
@@ -42,7 +47,7 @@ def test_table_single_row(capsys):
     assert rows[0]["verified"] == "pairs_verified"
 
 
-def test_table_usage_errors(capsys):
+def test_table_usage_errors(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "table", "--from", "10", "--to", "3")
     assert code == 1 and "exceeds" in err
     code, _, err = run_cli(capsys, "table", "--from", "2", "--to", "5")
@@ -50,6 +55,18 @@ def test_table_usage_errors(capsys):
     code, _, err = run_cli(capsys, "table", "--from", "3", "--to", "200", "--verify", "raw")
     assert code == 1 and "raw" in err
     assert f"m <= {RAW_MODULUS_LIMIT}" in err
+
+    # --verify pairs above the pair-closure limit is refused before any row is built
+    def no_rows(m, verify_level):
+        raise AssertionError(f"row {m} built before the refusal")
+
+    monkeypatch.setattr(cli, "build_row", no_rows)
+    top = PAIRS_MODULUS_LIMIT + 1
+    code, out, err = run_cli(
+        capsys, "table", "--from", str(top - 1), "--to", str(top), "--verify", "pairs"
+    )
+    assert code == 1 and not out
+    assert "--verify pairs" in err and f"m <= {PAIRS_MODULUS_LIMIT}" in err
 
 
 def test_table_csv_round_trip(capsys):
@@ -126,7 +143,7 @@ def test_default_verify_level_drops_above_limit(capsys):
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
     def broken_close_pairs(side, g):
-        return SemigroupSummary(g.m, side, 1, 1, "mu_pairs", frozenset())
+        return SemigroupSummary(g.m, side, 1, "mu_pairs", frozenset({0}))
 
     monkeypatch.setattr(cli, "close_pairs", broken_close_pairs)
     code, out, err = run_cli(capsys, "table", "--from", "8", "--to", "8", "--verify", "pairs")
@@ -177,6 +194,16 @@ def test_iso_command(capsys):
     assert code == 0 and "not_isomorphic" in out
     code, out, _ = run_cli(capsys, "iso", "--m", "10", "--m2", "5")
     assert code == 0 and out.count("isomorphic_with_witness") == 2
+    # the printed node counts pin the search order
+    assert out.splitlines() == [
+        "P(D_10) vs P(D_5): isomorphic_with_witness (7 nodes)",
+        "L(D_10) vs L(D_5): isomorphic_with_witness (7 nodes)",
+    ]
+    code, out, _ = run_cli(capsys, "iso", "--m", "52")
+    assert code == 0
+    assert out == (
+        "P(D_52) vs L(D_52): isomorphic_with_witness (criterion says isomorphic, 58 nodes)\n"
+    )
     code, out, _ = run_cli(capsys, "iso", "--m", "20", "--budget", "1")
     assert code == 2 and "budget_exhausted" in out
     args = cli.build_parser().parse_args(["iso", "--m", "8"])

@@ -18,6 +18,7 @@ from commsem import (
     search_isomorphism,
     verify_iso_map,
 )
+from commsem import closure
 from support import check_oracle_agreement, check_pairs_match_formula
 
 
@@ -32,6 +33,33 @@ def test_raw_anchor_values():
     assert right.element_set != left.element_set
     assert right.generator_count == 8
     assert right.oracle == "raw_tables"
+
+
+def test_close_raw_ignores_parameter_calculus(monkeypatch):
+    # every name closure imports from the parameter calculus raises; check_side
+    # is input validation and stays live
+    def refuse(*args, **kwargs):
+        raise AssertionError("close_raw touched the parameter calculus")
+
+    calculus = {"commsem.mumaps", "commsem.containers"}
+    patched = {
+        name
+        for name, value in vars(closure).items()
+        if getattr(value, "__module__", None) in calculus and name != "check_side"
+    }
+    assert patched >= {
+        "CanonicalMap", "alpha", "beta", "function_table", "shift_modulus",
+        "Container", "container_members", "container_product",
+    }
+    for name in patched:
+        monkeypatch.setattr(closure, name, refuse)
+    g3 = GroupParams.from_modulus(3)
+    assert close_raw("right", g3).size == 6
+    assert close_raw("left", g3).size == 9
+    for m in (8, 12, 15):
+        g = GroupParams.from_modulus(m)
+        for side in ("right", "left"):
+            assert close_raw(side, g).size == order_central_series(side, g)
 
 
 def test_raw_bound():
@@ -51,7 +79,8 @@ def test_pairs_reference_sizes():
     assert close_pairs("left", g3).size == 9
     summary = close_pairs("right", g15)
     assert summary.generator_count == 30
-    assert all(isinstance(e, CanonicalMap) for e in summary.element_set)
+    assert all(isinstance(e, int) for e in summary.element_set)
+    assert {CanonicalMap.from_key(e, 15).key for e in summary.element_set} == summary.element_set
 
 
 def test_oracles_agree_small():
@@ -73,12 +102,12 @@ def test_closure_idempotence_random_pairs():
     for m in (8, 15, 24, 40):
         g = GroupParams.from_modulus(m)
         for side in ("right", "left"):
-            elements = sorted(close_pairs(side, g).element_set)
-            universe = set(elements)
+            universe = close_pairs(side, g).element_set
+            elements = [CanonicalMap.from_key(k, m) for k in sorted(universe)]
             for _ in range(1000):
                 f = rng.choice(elements)
                 h = rng.choice(elements)
-                assert f.then(h) in universe
+                assert f.then(h).key in universe
 
 
 def test_container_powers_cover():

@@ -13,6 +13,7 @@ from commsem import (
     mu_map,
     rho_map,
 )
+from commsem.mumaps import shift_modulus
 from support import (
     check_canonical_quotient,
     check_compose_soundness,
@@ -89,6 +90,17 @@ def test_canonical_map_normalizes():
     c = CanonicalMap(10, 9, 8)
     assert (c.scale, c.shift_class, c.shift_modulus) == (2, 1, 4)
     assert c.as_map() == AffineMap(2, 1, 8)
+
+
+def test_canonical_map_key_codec():
+    for m in (7, 8, 12, 15):
+        sm = shift_modulus(m)
+        maps = [CanonicalMap(a, b, m) for a in range(m) for b in range(sm)]
+        keys = [c.key for c in maps]
+        assert all(CanonicalMap.from_key(c.key, m) == c for c in maps)
+        assert len(set(keys)) == len(maps)
+        assert all(k in range(m * sm) for k in keys)
+        assert [c.key for c in sorted(maps)] == sorted(keys)
 
 
 def test_rho_lambda_agreement_full():
