@@ -18,7 +18,7 @@ exhausted node budget is reported as such, never guessed around.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -33,6 +33,7 @@ from .mumaps import CanonicalMap, alpha, beta, function_table, shift_modulus
 RAW_MODULUS_LIMIT = 128
 PAIRS_MODULUS_LIMIT = 4096
 POWER_COVER_MODULUS_LIMIT = 256
+ISO_ELEMENT_LIMIT = 4096
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 RAW_ORACLE = "raw_tables"
@@ -217,14 +218,15 @@ class IsoSearchResult:
 
 
 def _mult_table(keys: list[int], m: int) -> np.ndarray:
-    """Index-valued multiplication table of CanonicalMap keys; raises if not closed."""
+    """Index-valued int32 multiplication table of CanonicalMap keys; raises if
+    not closed.  int32 holds any index: n <= m * shift_modulus(m) < 2**31."""
     sm = shift_modulus(m)
     keys = np.asarray(keys, dtype=np.int64)
     scales, shifts = np.divmod(keys, sm)
-    lookup = np.full(m * sm, -1, dtype=np.int64)
+    lookup = np.full(m * sm, -1, dtype=np.int32)
     n = len(keys)
     lookup[keys] = np.arange(n)
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int32)
     for i in range(n):
         table[i] = lookup[(scales[i] * scales % m) * sm + shifts[i] * scales % sm]
     if (table < 0).any():
@@ -248,21 +250,40 @@ def _monogenic_profile(table: np.ndarray, x: int) -> tuple[int, int]:
     return first, e - first
 
 
-def _initial_signatures(table: np.ndarray) -> list[tuple]:
+def _distinct_counts(table: np.ndarray, axis: int) -> np.ndarray:
+    """Number of distinct entries in each row (axis=1) or column (axis=0)."""
+    ordered = np.moveaxis(np.sort(table, axis=axis), axis, -1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+
+
+def _initial_signatures(table: np.ndarray) -> np.ndarray:
+    """One row per element: monogenic index, period, idempotent flag, row
+    span and column span."""
     n = table.shape[0]
-    sigs = []
-    for x in range(n):
-        idx, per = _monogenic_profile(table, x)
-        sigs.append(
-            (
-                idx,
-                per,
-                int(table[x, x] == x),
-                int(np.unique(table[x]).size),
-                int(np.unique(table[:, x]).size),
-            )
-        )
-    return sigs
+    profiles = [_monogenic_profile(table, x) for x in range(n)]
+    idempotent = np.diagonal(table) == np.arange(n)
+    return np.column_stack(
+        [profiles, idempotent, _distinct_counts(table, 1), _distinct_counts(table, 0)]
+    )
+
+
+def _shared_colors(sig1: np.ndarray, sig2: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense colours for the signature rows of both tables from one shared
+    palette, so equal signatures get equal colours across the pair."""
+    palette: dict[bytes, int] = {}
+    col1 = [palette.setdefault(row.tobytes(), len(palette)) for row in sig1]
+    col2 = [palette.setdefault(row.tobytes(), len(palette)) for row in sig2]
+    return np.asarray(col1), np.asarray(col2), len(palette)
+
+
+def _stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:
+    """Each element's colour followed by the sorted multiset of (colour of y,
+    colour of x*y, colour of y*x) over all y, encoded base width; width is at
+    most 2 * ISO_ELEMENT_LIMIT, so width**3 stays far inside int64."""
+    prod = col[table]
+    combo = (col * width + prod) * width + prod.T
+    combo.sort(axis=1)
+    return np.column_stack([col, combo])
 
 
 def _refine_colors(t1: np.ndarray, t2: np.ndarray):
@@ -272,46 +293,21 @@ def _refine_colors(t1: np.ndarray, t2: np.ndarray):
     the pair; any isomorphism must preserve them.  Returns the stable colour
     arrays, or None as soon as the colour multisets separate.
     """
-    palette: dict = {}
-
-    def intern(sig):
-        return palette.setdefault(sig, len(palette))
-
-    col1 = np.asarray([intern(s) for s in _initial_signatures(t1)], dtype=np.int64)
-    col2 = np.asarray([intern(s) for s in _initial_signatures(t2)], dtype=np.int64)
+    col1, col2, count = _shared_colors(_initial_signatures(t1), _initial_signatures(t2))
     while True:
-        c1, n1 = np.unique(col1, return_counts=True)
-        c2, n2 = np.unique(col2, return_counts=True)
-        if len(c1) != len(c2) or (c1 != c2).any() or (n1 != n2).any():
+        if (np.bincount(col1, minlength=count) != np.bincount(col2, minlength=count)).any():
             return None
-        width = int(max(col1.max(), col2.max())) + 1
-
-        def stamp(table, col):
-            prod = col[table]
-            combo = (col[None, :] * width + prod) * width + prod.T
-            combo.sort(axis=1)
-            return [
-                (int(col[x]), combo[x].tobytes()) for x in range(table.shape[0])
-            ]
-
-        fresh: dict = {}
-
-        def intern_fresh(sig):
-            return fresh.setdefault(sig, len(fresh))
-
-        new1 = np.asarray([intern_fresh(s) for s in stamp(t1, col1)], dtype=np.int64)
-        new2 = np.asarray([intern_fresh(s) for s in stamp(t2, col2)], dtype=np.int64)
-        if len(fresh) == width:
+        new1, new2, new_count = _shared_colors(_stamp(t1, col1, count), _stamp(t2, col2, count))
+        if new_count == count:
             return col1, col2
-        col1, col2 = new1, new2
+        col1, col2, count = new1, new2, new_count
 
 
-def _greedy_generators(table: np.ndarray) -> list[int]:
+def _greedy_generators(rows: list[list[int]]) -> list[int]:
     """A small generating set: every irreducible element (one that is not a
     product of any two elements) must be a generator; greedy absorption mops
     up whatever the irreducibles fail to reach."""
-    n = table.shape[0]
-    rows = table.tolist()
+    n = len(rows)
     products = {z for row in rows for z in row}
     items: list[int] = []
     inside = bytearray(n)
@@ -368,31 +364,31 @@ def search_isomorphism(
     if s1.m == s2.m and e1 == e2:
         # same element set under the same composition rule: identity works
         return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
+    if n > ISO_ELEMENT_LIMIT:
+        raise ResourceLimitError(
+            f"isomorphism search limited to {ISO_ELEMENT_LIMIT} elements, got {n}"
+        )
     t1 = _mult_table(e1, s1.m)
     t2 = _mult_table(e2, s2.m)
     colors = _refine_colors(t1, t2)
     if colors is None:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
     col1, col2 = colors
-    gens = _greedy_generators(t1)
-    pool: dict[int, list[int]] = defaultdict(list)
-    for w, c in enumerate(col2):
-        pool[int(c)].append(w)
+    rows1 = t1.tolist()
+    rows2 = t2.tolist()
+    gens = _greedy_generators(rows1)
     candidates: dict[int, list[int]] = {}
     for gi in gens:
-        cands = pool.get(int(col1[gi]), [])
-        if not cands:
-            return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+        # refinement returned, so every colour of t1 also occurs in t2
+        cands = np.flatnonzero(col2 == col1[gi]).tolist()
         if s1.m == s2.m:
-            cands = sorted(cands, key=lambda w: (e2[w] != e1[gi], w))
+            cands.sort(key=lambda w: (e2[w] != e1[gi], w))
         candidates[gi] = cands
     # assign the most constraining generators first: a large left-ideal means
     # many forced images per assignment, so conflicts surface early
-    column_span = [int(np.unique(t1[:, x]).size) for x in range(n)]
+    column_span = _distinct_counts(t1, 0).tolist()
     order = sorted(gens, key=lambda gi: (-column_span[gi], len(candidates[gi]), gi))
 
-    rows1 = t1.tolist()
-    rows2 = t2.tolist()
     cols1 = col1.tolist()
     cols2 = col2.tolist()
     phi = [-1] * n
@@ -458,7 +454,9 @@ def search_isomorphism(
             undo(trail)
         return False
 
-    if dfs(0):
+    found = dfs(0)
+    del dfs  # dfs holds itself in a closure cell; the cycle would keep rows1/rows2 alive
+    if found:
         return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi), nodes)
     if budget_hit:
         return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)

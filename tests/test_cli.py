@@ -4,9 +4,10 @@ import csv
 import io
 import json
 
-from commsem import cli
+from commsem import cli, closure
 from commsem.closure import (
     DEFAULT_SEARCH_BUDGET,
+    ISO_ELEMENT_LIMIT,
     PAIRS_MODULUS_LIMIT,
     RAW_MODULUS_LIMIT,
     SemigroupSummary,
@@ -214,13 +215,41 @@ def test_iso_command(capsys):
     # a zero budget still answers from colour refinement alone
     code, out, _ = run_cli(capsys, "iso", "--m", "15", "--budget", "0")
     assert code == 0 and "not_isomorphic" in out
+    # pinned node counts of the colour-refinement paths: stamp rounds (m = 100),
+    # separation by the initial signatures (m = 55, 1155 elements), cross-modulus
+    code, out, _ = run_cli(capsys, "iso", "--m", "100")
+    assert code == 0
+    assert out == (
+        "P(D_100) vs L(D_100): isomorphic_with_witness (criterion says isomorphic, 145 nodes)\n"
+    )
+    code, out, _ = run_cli(capsys, "iso", "--m", "55")
+    assert code == 0
+    assert out == (
+        "P(D_55) vs L(D_55): not_isomorphic (criterion says not isomorphic, 0 nodes)\n"
+    )
+    code, out, _ = run_cli(capsys, "iso", "--m", "50", "--m2", "25")
+    assert code == 0
+    assert out.splitlines() == [
+        "P(D_50) vs P(D_25): isomorphic_with_witness (28 nodes)",
+        "L(D_50) vs L(D_25): isomorphic_with_witness (28 nodes)",
+    ]
 
 
-def test_iso_usage_errors(capsys):
+def test_iso_usage_errors(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "iso", "--m", "20", "--budget", "-5")
     assert code == 1 and not out and "--budget" in err
     code, out, err = run_cli(capsys, "iso", "--m", "8", "--side", "right")
     assert code == 1 and not out and "--m2" in err
+
+    def no_table(*_args):
+        raise AssertionError("the multiplication table must not be built")
+
+    monkeypatch.setattr(closure, "_mult_table", no_table)
+    # |P| = |L| = 53235 at m = 4095 and 5175 at m = 115, both above the cap
+    for m, n in ((4095, 53235), (115, 5175)):
+        code, out, err = run_cli(capsys, "iso", "--m", str(m))
+        assert code == 1 and not out
+        assert str(n) in err and str(ISO_ELEMENT_LIMIT) in err
 
 
 def test_verify_claims_command(capsys):

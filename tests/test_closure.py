@@ -6,6 +6,7 @@ import pytest
 
 from commsem import (
     CanonicalMap,
+    ConsistencyError,
     GroupParams,
     IsoStatus,
     ParameterError,
@@ -171,6 +172,27 @@ def test_search_size_mismatch_and_budget():
     res = search_isomorphism(close_pairs("right", g20), close_pairs("left", g20), budget=1)
     assert res.status is IsoStatus.BUDGET_EXHAUSTED
     assert res.witness is None
+
+
+def test_distinct_counts_match_sets():
+    g12 = GroupParams.from_modulus(12)
+    for side in ("right", "left"):
+        t = closure._mult_table(sorted(close_pairs(side, g12).element_set), 12)
+        rows, cols = closure._distinct_counts(t, 1), closure._distinct_counts(t, 0)
+        for x in range(t.shape[0]):
+            assert rows[x] == len(set(t[x].tolist()))
+            assert cols[x] == len(set(t[:, x].tolist()))
+
+
+def test_mult_table_rejects_unclosed_keys():
+    keys = sorted(close_pairs("right", GroupParams.from_modulus(8)).element_set)
+    t = closure._mult_table(keys, 8)
+    assert t.dtype == "int32"
+    # drop a product of two other elements, so that product has no index
+    i, j = next((i, j) for i in range(len(keys)) for j in range(len(keys)) if t[i, j] not in (i, j))
+    unclosed = [k for k in keys if k != keys[t[i, j]]]
+    with pytest.raises(ConsistencyError):
+        closure._mult_table(unclosed, 8)
 
 
 def test_pairs_bound():
