@@ -1,6 +1,6 @@
 """Ground-truth semigroup closures and isomorphism search.
 
-close_raw composes literal function tables built straight from commutators
+close_raw composes literal function tables read off the group's Cayley table
 and never touches the parameter calculus; close_pairs closes canonical
 (scale, shift) pairs under the composition rule.  The two must agree
 wherever both run, which is the central correctness check of the package.
@@ -8,6 +8,10 @@ wherever both run, which is the central correctness check of the package.
 Both closures use a worklist that composes known elements with generators
 only: every product of generators associates left to right, so extending by
 one right factor at a time reaches the whole generated subsemigroup.
+close_raw runs that worklist in frontier rounds of whole numpy arrays, in
+chunks of bounded size, and deduplicates exactly: a fingerprint only
+proposes which known table a product equals, and the two are then compared
+in full.
 
 search_isomorphism decides whether two small semigroups are isomorphic by
 backtracking over images of a greedy generating set, pruned by a joint
@@ -26,9 +30,9 @@ from typing import Callable
 import numpy as np
 
 from .containers import Container, base_scale, check_side, container_members, container_product
-from .dihedral import GroupParams, commutator, element_index, enumerate_elements
+from .dihedral import GroupParams, cayley_table
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
-from .mumaps import CanonicalMap, alpha, beta, function_table, shift_modulus
+from .mumaps import CanonicalMap, alpha, beta, function_table, function_tables, shift_modulus
 
 RAW_MODULUS_LIMIT = 128
 PAIRS_MODULUS_LIMIT = 4096
@@ -38,6 +42,27 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 
 RAW_ORACLE = "raw_tables"
 PAIRS_ORACLE = "mu_pairs"
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 mix of each uint64 in x (arithmetic wraps mod 2**64)."""
+    x = x * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+# A raw table holds element indices below 2m <= 2 * RAW_MODULUS_LIMIT = 256,
+# so it fits uint8, and its fingerprint sum_x w[x] * t[x] over at most 256
+# entries with integer weights below 2**37 stays below 2**53, where float64
+# sums are exact in any order.  The weights are the top 37 bits of a
+# splitmix64 hash: unlike a linear hash of x, they leave distinct tables to
+# collide only by chance.
+_FINGERPRINT_WEIGHTS = (
+    _splitmix64(np.arange(1, 2 * RAW_MODULUS_LIMIT + 1, dtype=np.uint64)) >> np.uint64(27)
+).astype(np.float64)
+# bytes in one temporary array of a chunked numpy step
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,43 +85,79 @@ class SemigroupSummary:
         return len(self.element_set)
 
 
+def _commutator_tables(side: str, g: GroupParams) -> np.ndarray:
+    """Row y is the table of x -> [x, y] (right) or of x -> [y, x] (left),
+    looked up in the Cayley table as [x, y] = (x^-1 y^-1)(xy)."""
+    mul, inv = cayley_table(g)
+    comm = mul[mul[inv[:, None], inv[None, :]], mul]
+    return comm.T if side == "right" else comm
+
+
 def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     """Close the commutation maps under composition of raw function tables.
 
-    Generator tables come directly from commutator evaluation over the whole
-    group; composition is table lookup; dedup is by table content.  Nothing
-    here knows about map parameters.
+    The generators are the distinct commutator tables, looked up in the
+    group's Cayley table.  Each frontier round composes every table found in
+    the round before with every generator, a bounded chunk of frontier tables
+    at a time.  Dedup is
+    by table content and exact: a linear fingerprint proposes the one known
+    table a product may equal, every product is compared with that table in
+    full, and two distinct tables with one fingerprint raise ConsistencyError
+    rather than merge.  Nothing here knows about map parameters.
     """
     check_side(side)
     if g.m > RAW_MODULUS_LIMIT:
         raise ResourceLimitError(f"raw closure limited to m <= {RAW_MODULUS_LIMIT}")
-    elems = enumerate_elements(g)
-    n = len(elems)
-    gen_arrays: dict[bytes, np.ndarray] = {}
-    for gen in elems:
-        if side == "right":
-            images = [element_index(commutator(x, gen, g)) for x in elems]
-        else:
-            images = [element_index(commutator(gen, x, g)) for x in elems]
-        arr = np.asarray(images, dtype=np.int16)
-        gen_arrays.setdefault(arr.tobytes(), arr)
-    gens = np.stack(list(gen_arrays.values()))
-    known = set(gen_arrays)
-    frontier = gens
-    chunk_rows = max(1, 4_000_000 // (len(gens) * n))
+    collision = f"m={g.m} side={side} stage=close_raw: distinct tables share a fingerprint"
+    gens = np.unique(_commutator_tables(side, g).astype(np.uint8), axis=0)
+    k, n = gens.shape
+    weights = _FINGERPRINT_WEIGHTS[:n]
+    images = np.ascontiguousarray(gens.T)  # images[y, j] = gens[j][y]
+    images_f = images.astype(np.float64)
+    # store[:count] holds every table found so far; known_fp is sorted, ends
+    # in an infinite sentinel, and known_fp[r] belongs to store row known_row[r]
+    store, count = np.empty((k, n), dtype=np.uint8), 0
+    known_fp, known_row = np.array([np.inf]), np.array([-1])
+    step = max(1, _CHUNK_BYTES // (k * n))  # frontier tables whose uint8 products fit
+    # round 0 composes the identity with every generator, which stores the
+    # generators themselves
+    frontier = np.arange(n)[None]
     while len(frontier):
-        fresh: list[np.ndarray] = []
-        for start in range(0, len(frontier), chunk_rows):
-            chunk = frontier[start : start + chunk_rows]
-            # products[k, i, x] = (chunk[i] then gens[k])(x) = gens[k][chunk[i][x]]
-            products = gens[:, chunk].reshape(-1, n)
-            for row in products:
-                key = row.tobytes()
-                if key not in known:
-                    known.add(key)
-                    fresh.append(row)
-        frontier = np.stack(fresh) if fresh else np.empty((0, n), dtype=np.int16)
-    return SemigroupSummary(g.m, side, len(gens), RAW_ORACLE, frozenset(known))
+        round_start = count
+        for lo in range(0, len(frontier), step):
+            chunk = frontier[lo : lo + step].astype(np.intp)
+            f = len(chunk)
+            # products[i, x, j] = (chunk[i] then gens[j])(x) = gens[j][chunk[i][x]]
+            products = images[chunk]
+            # its fingerprint is sum_y spread[i, y] * gens[j][y], spread[i, y]
+            # being the total weight of the x with chunk[i][x] = y
+            spread = np.bincount(
+                (np.arange(f)[:, None] * n + chunk).ravel(),
+                weights=np.tile(weights, f),
+                minlength=f * n,
+            )
+            product_fp = np.matmul(spread.reshape(f, 1, n), images_f).ravel()
+            uniq, first, which = np.unique(product_fp, return_index=True, return_inverse=True)
+            pos = np.searchsorted(known_fp, uniq)
+            match = known_row[pos]
+            new = np.flatnonzero(known_fp[pos] != uniq)
+            if len(new):
+                if count + len(new) > len(store):
+                    grown = np.empty((2 * (count + len(new)), n), dtype=np.uint8)
+                    grown[:count] = store[:count]
+                    store = grown
+                i, j = np.divmod(first[new], k)
+                store[count : count + len(new)] = products[i, :, j]
+                match[new] = np.arange(count, count + len(new))
+                known_fp = np.insert(known_fp, pos[new], uniq[new])
+                known_row = np.insert(known_row, pos[new], match[new])
+                count += len(new)
+            # the fingerprint only proposed the match; the tables must agree
+            if not np.array_equal(products, store[match[which].reshape(f, k)].transpose(0, 2, 1)):
+                raise ConsistencyError(collision)
+        frontier = store[round_start:count]
+    tables = store[:count].astype(np.int16)
+    return SemigroupSummary(g.m, side, k, RAW_ORACLE, frozenset(t.tobytes() for t in tables))
 
 
 def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
@@ -142,10 +203,10 @@ def raw_tables(summary: SemigroupSummary) -> tuple[tuple[int, ...], ...]:
 def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozenset[int]:
     """Element set as CanonicalMap keys, decoding raw tables when needed.
 
-    Raw tables are decoded from the images of a and b alone, then the full
-    table is recomputed from the decoded pair and compared entrywise; any
-    mismatch means the closure produced a non-member of the family and is a
-    hard error.
+    All raw tables are decoded at once from the images of a and b alone,
+    then the full tables of the decoded pairs are recomputed and compared
+    entrywise; any mismatch means the closure produced a non-member of the
+    family and is a hard error.
     """
     if summary.m != g.m:
         raise ParameterError("summary modulus does not match group modulus")
@@ -153,22 +214,33 @@ def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozens
         return summary.element_set
     m = g.m
     sm = shift_modulus(m)
-    out: set[int] = set()
-    for blob in summary.element_set:
-        table = np.frombuffer(blob, dtype=np.int16)
-        scale = int(table[1])
-        doubled_shift = int(table[m])
-        if m % 2:
-            shift = doubled_shift * pow(2, -1, m) % m
-        else:
-            if doubled_shift % 2:
-                raise ConsistencyError("raw table has an odd doubled shift")
-            shift = doubled_shift // 2 % sm
-        cand = CanonicalMap(scale, shift, m)
-        if tuple(int(v) for v in table) != function_table(cand.as_map(), g):
-            raise ConsistencyError("raw closure produced a table outside the map family")
-        out.add(cand.key)
-    return frozenset(out)
+    stage = f"m={m} side={summary.side} stage=canonicalized_elements"
+    tables = np.frombuffer(b"".join(summary.element_set), dtype=np.int16).reshape(-1, 2 * m)
+    scales = tables[:, 1].astype(np.int64)
+    doubled_shifts = tables[:, m].astype(np.int64)
+    if m % 2:
+        shifts = doubled_shifts * pow(2, -1, m) % m
+    else:
+        odd = np.flatnonzero(doubled_shifts % 2)
+        if len(odd):
+            raise ConsistencyError(
+                f"{stage}: raw table has an odd doubled shift {doubled_shifts[odd[0]]}"
+                f" (image of b), table {tables[odd[0]].tolist()}"
+            )
+        shifts = doubled_shifts // 2 % sm
+    step = max(1, _CHUNK_BYTES // (8 * 2 * m))  # rows of int64 expected tables
+    for lo in range(0, len(tables), step):
+        rows = slice(lo, lo + step)
+        expected = function_tables(scales[rows], shifts[rows], g)
+        outside = np.flatnonzero((tables[rows] != expected).any(axis=1))
+        if len(outside):
+            t = lo + outside[0]
+            decoded = CanonicalMap(int(scales[t]), int(shifts[t]), m)
+            raise ConsistencyError(
+                f"{stage}: raw table {tables[t].tolist()} is outside the map family;"
+                f" its decoded map {decoded} has table {list(function_table(decoded.as_map(), g))}"
+            )
+    return frozenset((scales * sm + shifts).tolist())
 
 
 def container_powers_cover_closure(g: GroupParams, side: str) -> bool:
@@ -198,7 +270,7 @@ def verify_iso_map(g: GroupParams, image_rule: Callable[[int, int], tuple[int, i
     target = sorted(close_pairs("left", g).element_set)
     position = {k: i for i, k in enumerate(target)}
     images = [CanonicalMap(*image_rule(*divmod(k, sm)), g.m).key for k in source]
-    perm = np.asarray([position.get(k, -1) for k in images], dtype=np.int64)
+    perm = np.asarray([position.get(k, -1) for k in images], dtype=np.int32)
     if len(source) != len(target) or (perm < 0).any() or np.unique(perm).size != perm.size:
         return False
     return _preserves_products(perm, _mult_table(source, g.m), _mult_table(target, g.m))
@@ -235,8 +307,14 @@ def _mult_table(keys: list[int], m: int) -> np.ndarray:
 
 
 def _preserves_products(perm: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> bool:
-    """Whether x -> perm[x] carries every product of t1 to the product in t2."""
-    return bool((perm[t1] == t2[perm][:, perm]).all())
+    """Whether x -> perm[x] carries every product of t1 to the product in t2,
+    checked a block of rows at a time so no n x n temporary is built."""
+    step = max(1, _CHUNK_BYTES // (4 * len(perm)))  # rows of int32 products
+    for lo in range(0, len(perm), step):
+        rows = slice(lo, lo + step)
+        if not np.array_equal(perm[t1[rows]], t2[perm[rows, None], perm]):
+            return False
+    return True
 
 
 def _monogenic_profile(table: np.ndarray, x: int) -> tuple[int, int]:
@@ -432,7 +510,7 @@ def search_isomorphism(
         if k == len(order):
             if len(domain) != n:
                 return False
-            return _preserves_products(np.asarray(phi, dtype=np.int64), t1, t2)
+            return _preserves_products(np.asarray(phi, dtype=np.int32), t1, t2)
         x = order[k]
         if phi[x] >= 0:
             return dfs(k + 1)

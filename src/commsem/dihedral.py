@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 
 
@@ -122,3 +124,16 @@ def enumerate_elements(g: GroupParams) -> tuple[DihedralElement, ...]:
 def element_index(x: DihedralElement) -> int:
     """Position of x in the enumerate_elements order: j*m + i."""
     return x.j * x.m + x.i
+
+
+def cayley_table(g: GroupParams) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication table and the inverse vector of the whole group, on
+    element_index positions: mul[x, y] is the index of xy and inv[x] that of
+    x^-1.  Index arithmetic on the presentation, as in multiply and inverse."""
+    m = g.m
+    index = np.arange(2 * m)
+    i, j = index % m, index // m
+    sign = 1 - 2 * j  # (-1)^j
+    mul = (j[:, None] + j[None, :]) % 2 * m + (i[:, None] + sign[:, None] * i[None, :]) % m
+    inv = np.where(j == 1, index, -i % m)
+    return mul, inv

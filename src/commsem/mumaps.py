@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dihedral import DihedralElement, GroupParams
 from .errors import ParameterError
 
@@ -146,3 +148,13 @@ def function_table(f: AffineMap, g: GroupParams) -> tuple[int, ...]:
     rotations = [f.scale * i % m for i in range(m)]
     reflections = [(2 * f.shift - f.scale * i) % m for i in range(m)]
     return tuple(rotations + reflections)
+
+
+def function_tables(scales: np.ndarray, shifts: np.ndarray, g: GroupParams) -> np.ndarray:
+    """function_table of the map (scales[k], shifts[k]) as row k of one
+    int64 array."""
+    m = g.m
+    scales = np.asarray(scales, dtype=np.int64)[:, None]
+    shifts = np.asarray(shifts, dtype=np.int64)[:, None]
+    rotations = scales * np.arange(m) % m
+    return np.hstack([rotations, (2 * shifts - rotations) % m])

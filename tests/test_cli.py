@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from commsem import cli, closure
 from commsem.closure import (
@@ -32,6 +36,20 @@ def test_order_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["p_order"] == 63 and "lambda_order" not in payload
+
+
+def test_module_entry_point(capsys):
+    code, expected, _ = run_cli(capsys, "order", "--m", "36")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "commsem", "order", "--m", "36"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == code == 0
+    assert done.stdout == expected.encode()
 
 
 def test_order_usage_error(capsys):

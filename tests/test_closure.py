@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from commsem import (
@@ -11,10 +12,14 @@ from commsem import (
     IsoStatus,
     ParameterError,
     ResourceLimitError,
+    SemigroupSummary,
     canonicalized_elements,
     close_pairs,
     close_raw,
+    commutator,
     container_powers_cover_closure,
+    element_index,
+    enumerate_elements,
     order_central_series,
     search_isomorphism,
     verify_iso_map,
@@ -61,6 +66,73 @@ def test_close_raw_ignores_parameter_calculus(monkeypatch):
         g = GroupParams.from_modulus(m)
         for side in ("right", "left"):
             assert close_raw(side, g).size == order_central_series(side, g)
+
+
+def test_generator_tables_match_scalar_commutators():
+    for m in range(3, 21):
+        g = GroupParams.from_modulus(m)
+        elems = enumerate_elements(g)
+        scalar = {
+            "right": [[element_index(commutator(x, y, g)) for x in elems] for y in elems],
+            "left": [[element_index(commutator(y, x, g)) for x in elems] for y in elems],
+        }
+        for side, tables in scalar.items():
+            assert closure._commutator_tables(side, g).tolist() == tables
+            distinct = {tuple(t) for t in tables}
+            assert close_raw(side, g).generator_count == len(distinct)
+
+
+def test_close_raw_refuses_fingerprint_collisions(monkeypatch):
+    reference = {
+        (m, side): close_raw(side, GroupParams.from_modulus(m)).element_set
+        for m in (8, 12)
+        for side in ("right", "left")
+    }
+    # constant weights: a fingerprint is the sum of a table, which distinct
+    # tables share
+    monkeypatch.setattr(closure, "_FINGERPRINT_WEIGHTS", np.ones(256))
+    for m, side in reference:
+        with pytest.raises(ConsistencyError, match=f"m={m} side={side} stage=close_raw"):
+            close_raw(side, GroupParams.from_modulus(m))
+    # weak weights: each run either raises or returns the exact closure
+    outcomes = set()
+    for seed in range(10):
+        weights = np.random.default_rng(seed).integers(1, 4, 256).astype(np.float64)
+        monkeypatch.setattr(closure, "_FINGERPRINT_WEIGHTS", weights)
+        for m, side in reference:
+            try:
+                got = close_raw(side, GroupParams.from_modulus(m))
+            except ConsistencyError as exc:
+                assert f"m={m} side={side} stage=close_raw" in str(exc)
+                outcomes.add("raised")
+            else:
+                assert got.element_set == reference[m, side]
+                outcomes.add("exact")
+    assert outcomes == {"raised", "exact"}
+
+
+@pytest.mark.parametrize("m", [101, 123, 128])
+def test_oracles_agree_heavy_rows(m):
+    check_oracle_agreement([m])
+
+
+def test_canonicalized_elements_names_corrupted_tables():
+    g8 = GroupParams.from_modulus(8)
+    good = close_raw("right", g8)
+    table = np.frombuffer(max(good.element_set), dtype=np.int16)
+    odd_shift = table.copy()
+    odd_shift[8] = 3  # the image of b is the doubled shift
+    off_family = table.copy()
+    off_family[3] = (off_family[3] + 1) % 8
+    for corrupt, reason in ((odd_shift, "odd doubled shift 3"), (off_family, "outside the map family")):
+        summary = SemigroupSummary(8, "right", 1, "raw_tables", frozenset({corrupt.tobytes()}))
+        with pytest.raises(ConsistencyError) as excinfo:
+            canonicalized_elements(summary, g8)
+        message = str(excinfo.value)
+        assert message.startswith("m=8 side=right stage=canonicalized_elements: ")
+        assert reason in message and str(corrupt.tolist()) in message
+    # the family's table of the decoded map is named beside the raw one
+    assert str(table.tolist()) in message
 
 
 def test_raw_bound():

@@ -16,6 +16,8 @@ from commsem import (
     left_normed_commutator,
     multiply,
 )
+from commsem.dihedral import cayley_table
+from perm_oracle import perm_compose, perm_inverse, perm_of
 from support import (
     check_commutator_identities,
     check_group_axioms,
@@ -113,6 +115,22 @@ def test_enumeration_count(m, count):
     assert len(elems) == count
     assert len(set(elems)) == count
     assert [element_index(x) for x in elems] == list(range(count))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 15, 16])
+def test_cayley_table_matches_presentation_and_polygon_model(m):
+    g = GroupParams.from_modulus(m)
+    elems = enumerate_elements(g)
+    mul, inv = cayley_table(g)
+    assert mul.shape == (2 * m, 2 * m) and inv.shape == (2 * m,)
+    for x in elems:
+        ix = element_index(x)
+        assert inv[ix] == element_index(inverse(x, g))
+        assert perm_of(elems[inv[ix]]) == perm_inverse(perm_of(x))
+        for y in elems:
+            xy = elems[mul[ix, element_index(y)]]
+            assert xy == multiply(x, y, g)
+            assert perm_of(xy) == perm_compose(perm_of(x), perm_of(y))
 
 
 def test_perm_model_agreement_small():
