@@ -15,14 +15,18 @@ in full.
 
 search_isomorphism decides whether two small semigroups are isomorphic by
 backtracking over images of a greedy generating set, pruned by a joint
-colour refinement of the multiplication tables; definite answers are sound
-(witnesses are verified on all pairs, refusals come from exhaustion) and an
-exhausted node budget is reported as such, never guessed around.
+colour refinement of the int32 multiplication tables.  Each choice of image
+is closed under products in semi-naive frontier rounds: a round gathers the
+products of the elements the round before assigned with the whole assigned
+domain, both ways, in one table and at their images in the other, and
+checks every forced pair in whole arrays before any is written.  Definite
+answers are sound (witnesses are verified on all pairs, refusals come from
+exhaustion) and an exhausted node budget is reported as such, never guessed
+around.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -268,12 +272,15 @@ def verify_iso_map(g: GroupParams, image_rule: Callable[[int, int], tuple[int, i
     sm = shift_modulus(g.m)
     source = sorted(close_pairs("right", g).element_set)
     target = sorted(close_pairs("left", g).element_set)
+    _check_iso_size(max(len(source), len(target)))
     position = {k: i for i, k in enumerate(target)}
     images = [CanonicalMap(*image_rule(*divmod(k, sm)), g.m).key for k in source]
     perm = np.asarray([position.get(k, -1) for k in images], dtype=np.int32)
     if len(source) != len(target) or (perm < 0).any() or np.unique(perm).size != perm.size:
         return False
-    return _preserves_products(perm, _mult_table(source, g.m), _mult_table(target, g.m))
+    return _preserves_products(
+        perm, _mult_table(source, g.m, "right"), _mult_table(target, g.m, "left")
+    )
 
 
 class IsoStatus(Enum):
@@ -289,7 +296,16 @@ class IsoSearchResult:
     nodes: int
 
 
-def _mult_table(keys: list[int], m: int) -> np.ndarray:
+def _check_iso_size(n: int) -> None:
+    """Refuse an isomorphism search or check over n elements above the cap,
+    before any multiplication table is built."""
+    if n > ISO_ELEMENT_LIMIT:
+        raise ResourceLimitError(
+            f"isomorphism search limited to {ISO_ELEMENT_LIMIT} elements, got {n}"
+        )
+
+
+def _mult_table(keys: list[int], m: int, side: str) -> np.ndarray:
     """Index-valued int32 multiplication table of CanonicalMap keys; raises if
     not closed.  int32 holds any index: n <= m * shift_modulus(m) < 2**31."""
     sm = shift_modulus(m)
@@ -302,7 +318,9 @@ def _mult_table(keys: list[int], m: int) -> np.ndarray:
     for i in range(n):
         table[i] = lookup[(scales[i] * scales % m) * sm + shifts[i] * scales % sm]
     if (table < 0).any():
-        raise ConsistencyError("element set is not closed under composition")
+        raise ConsistencyError(
+            f"m={m} side={side} stage=_mult_table: element set is not closed under composition"
+        )
     return table
 
 
@@ -381,41 +399,120 @@ def _refine_colors(t1: np.ndarray, t2: np.ndarray):
         col1, col2, count = new1, new2, new_count
 
 
-def _greedy_generators(rows: list[list[int]]) -> list[int]:
+def _frontier_products(table: np.ndarray, frontier: np.ndarray, domain: np.ndarray):
+    """Yield table[f, d] then table[d, f], flattened, for f in frontier and d in
+    domain, one block of frontier elements at a time.  A block's products,
+    widened to int64 codes, fit _CHUNK_BYTES; pass the same frontier and domain
+    lengths to two tables and their blocks line up entry for entry."""
+    step = max(1, _CHUNK_BYTES // (16 * len(domain)))  # 2 * f * |domain| int64 codes
+    for lo in range(0, len(frontier), step):
+        block = frontier[lo : lo + step]
+        yield np.concatenate(
+            (table[block[:, None], domain].ravel(), table[domain[:, None], block].ravel())
+        )
+
+
+def _greedy_generators(table: np.ndarray) -> list[int]:
     """A small generating set: every irreducible element (one that is not a
     product of any two elements) must be a generator; greedy absorption mops
     up whatever the irreducibles fail to reach."""
-    n = len(rows)
-    products = {z for row in rows for z in row}
-    items: list[int] = []
-    inside = bytearray(n)
-    gens: list[int] = []
+    n = len(table)
+    reducible = np.zeros(n, dtype=bool)
+    reducible[table.ravel()] = True
+    inside = np.zeros(n, dtype=bool)
+    # members[:size] is the generated subsemigroup so far, in absorption order
+    members, size = np.empty(n, dtype=np.int32), 0
 
-    def absorb(x0: int) -> None:
-        queue = deque([x0])
-        inside[x0] = 1
-        items.append(x0)
-        while queue:
-            x = queue.popleft()
-            row = rows[x]
-            for y in items:
-                for z in (row[y], rows[y][x]):
-                    if not inside[z]:
-                        inside[z] = 1
-                        items.append(z)
-                        queue.append(z)
+    def absorb(new: np.ndarray) -> None:
+        # semi-naive rounds: only products with a new element can be new
+        nonlocal size
+        while len(new):
+            inside[new] = True
+            lo, size = size, size + len(new)
+            members[lo:size] = new
+            new = np.empty(0, dtype=np.int32)
+            for z in _frontier_products(table, members[lo:size], members[:size]):
+                new = np.union1d(new, z[~inside[z]])
 
+    gens = np.flatnonzero(~reducible).tolist()
+    absorb(np.asarray(gens, dtype=np.int32))
     for x in range(n):
-        if x not in products and not inside[x]:
-            gens.append(x)
-            absorb(x)
-    for x in range(n):
-        if len(items) == n:
+        if size == n:
             break
         if not inside[x]:
             gens.append(x)
-            absorb(x)
+            absorb(np.array([x], dtype=np.int32))
     return gens
+
+
+class _PartialIso:
+    """A partial injective map phi from the elements of t1 to those of t2
+    that preserves colours and is closed under products: its domain is a
+    subsemigroup and phi[x * y] = phi[x] * phi[y] on it.  A pair (x, w) is
+    coded as x * len(t2) + w."""
+
+    def __init__(self, t1: np.ndarray, t2: np.ndarray, col1: np.ndarray, col2: np.ndarray):
+        self.t1, self.t2, self.col1, self.col2 = t1, t2, col1, col2
+        self.phi = np.full(len(t1), -1, dtype=np.int32)
+        self.used_by = np.full(len(t2), -1, dtype=np.int32)
+        # domain[:size] holds the assigned elements in assignment order
+        self.domain, self.size = np.empty(len(t1), dtype=np.int32), 0
+
+    def extend(self, x: int, w: int) -> bool:
+        """Map the unassigned x to w and close under products, in frontier
+        rounds: each round composes the elements the last round assigned with
+        the whole domain, both ways, in t1 and at their images in t2.  Every
+        proposed pair is forced, so the closure is the unique homomorphic
+        extension whatever the order; on any conflict the map is restored
+        and False returned."""
+        n = len(self.used_by)
+        start = self.size
+        codes = np.array([x * n + w], dtype=np.int64)
+        while len(codes):
+            xs, ws = np.divmod(codes, n)
+            # a new image must be unused, used once, and of the same colour
+            taken = (self.used_by[ws] >= 0).any() or np.unique(ws).size != ws.size
+            if taken or (self.col1[xs] != self.col2[ws]).any():
+                self.undo(start)
+                return False
+            lo, self.size = self.size, self.size + len(xs)
+            self.phi[xs] = ws
+            self.used_by[ws] = xs
+            self.domain[lo : self.size] = xs
+            codes = self._forced(lo)
+            if codes is None:
+                self.undo(start)
+                return False
+        return True
+
+    def _forced(self, lo: int) -> np.ndarray | None:
+        """Sorted codes of the images w that products of domain[lo:size]
+        with the domain force on unassigned elements x, or None when a
+        product contradicts phi or gets two images."""
+        n = len(self.used_by)
+        frontier, domain = self.domain[lo : self.size], self.domain[: self.size]
+        pending = np.empty(0, dtype=np.int64)
+        blocks = zip(
+            _frontier_products(self.t1, frontier, domain),
+            _frontier_products(self.t2, self.phi[frontier], self.phi[domain]),
+        )
+        for xs, ws in blocks:
+            xs, ws = np.divmod(np.unique(xs.astype(np.int64) * n + ws), n)
+            known = self.phi[xs]
+            assigned = known >= 0
+            if (known[assigned] != ws[assigned]).any():
+                return None
+            pending = np.union1d(pending, xs[~assigned] * n + ws[~assigned])
+            if (np.diff(pending // n) == 0).any():
+                return None
+        return pending
+
+    def undo(self, start: int) -> None:
+        """Unassign everything assigned after the first start elements."""
+        xs = self.domain[start : self.size]
+        self.used_by[self.phi[xs]] = -1
+        self.phi[xs] = -1
+        self.size = start
 
 
 def search_isomorphism(
@@ -423,11 +520,16 @@ def search_isomorphism(
 ) -> IsoSearchResult:
     """Decide whether two closed semigroups are isomorphic.
 
-    Backtracks over colour-compatible images of a generating set of s1,
-    propagating forced images through both multiplication tables after every
-    assignment.  A returned witness has been verified on all element pairs;
-    a not_isomorphic verdict means the colour-pruned search space was
-    exhausted, which is complete because colours are isomorphism-invariant.
+    Backtracks over colour-compatible images of a generating set of s1.
+    Every choice is closed under products in frontier rounds
+    (_PartialIso.extend), which gather the forced images from both
+    multiplication tables in bounded blocks and refuse any conflict in whole
+    arrays.  That closure is the unique homomorphic extension of the chosen
+    images, so neither it nor the node count depends on the order in which
+    products are examined.  A returned witness has been verified on all
+    element pairs; a not_isomorphic verdict means the colour-pruned search
+    space was exhausted, which is complete because colours are
+    isomorphism-invariant.
     """
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
@@ -442,19 +544,14 @@ def search_isomorphism(
     if s1.m == s2.m and e1 == e2:
         # same element set under the same composition rule: identity works
         return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
-    if n > ISO_ELEMENT_LIMIT:
-        raise ResourceLimitError(
-            f"isomorphism search limited to {ISO_ELEMENT_LIMIT} elements, got {n}"
-        )
-    t1 = _mult_table(e1, s1.m)
-    t2 = _mult_table(e2, s2.m)
+    _check_iso_size(n)
+    t1 = _mult_table(e1, s1.m, s1.side)
+    t2 = _mult_table(e2, s2.m, s2.side)
     colors = _refine_colors(t1, t2)
     if colors is None:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
     col1, col2 = colors
-    rows1 = t1.tolist()
-    rows2 = t2.tolist()
-    gens = _greedy_generators(rows1)
+    gens = _greedy_generators(t1)
     candidates: dict[int, list[int]] = {}
     for gi in gens:
         # refinement returned, so every colour of t1 also occurs in t2
@@ -467,50 +564,15 @@ def search_isomorphism(
     column_span = _distinct_counts(t1, 0).tolist()
     order = sorted(gens, key=lambda gi: (-column_span[gi], len(candidates[gi]), gi))
 
-    cols1 = col1.tolist()
-    cols2 = col2.tolist()
-    phi = [-1] * n
-    used_by = [-1] * n
-    domain: list[int] = []
+    partial = _PartialIso(t1, t2, col1, col2)
+    phi, used_by = partial.phi, partial.used_by
     nodes = 0
     budget_hit = False
-
-    def assign(x: int, w: int, trail: list[int], queue: deque) -> bool:
-        if phi[x] >= 0:
-            return phi[x] == w
-        if used_by[w] >= 0 or cols1[x] != cols2[w]:
-            return False
-        phi[x] = w
-        used_by[w] = x
-        domain.append(x)
-        trail.append(x)
-        queue.append(x)
-        return True
-
-    def propagate(queue: deque, trail: list[int]) -> bool:
-        while queue:
-            x = queue.popleft()
-            px = phi[x]
-            for y in list(domain):
-                py = phi[y]
-                if not assign(rows1[x][y], rows2[px][py], trail, queue):
-                    return False
-                if not assign(rows1[y][x], rows2[py][px], trail, queue):
-                    return False
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for x in reversed(trail):
-            used_by[phi[x]] = -1
-            phi[x] = -1
-            domain.pop()
 
     def dfs(k: int) -> bool:
         nonlocal nodes, budget_hit
         if k == len(order):
-            if len(domain) != n:
-                return False
-            return _preserves_products(np.asarray(phi, dtype=np.int32), t1, t2)
+            return partial.size == n and _preserves_products(phi, t1, t2)
         x = order[k]
         if phi[x] >= 0:
             return dfs(k + 1)
@@ -521,21 +583,19 @@ def search_isomorphism(
             if nodes > budget:
                 budget_hit = True
                 return False
-            trail: list[int] = []
-            queue: deque = deque()
-            if assign(x, w, trail, queue) and propagate(queue, trail):
+            mark = partial.size
+            if partial.extend(x, w):
                 if dfs(k + 1):
                     return True
+                partial.undo(mark)
                 if budget_hit:
-                    undo(trail)
                     return False
-            undo(trail)
         return False
 
     found = dfs(0)
-    del dfs  # dfs holds itself in a closure cell; the cycle would keep rows1/rows2 alive
+    del dfs  # dfs holds itself in a closure cell; the cycle would keep the tables alive
     if found:
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi), nodes)
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi.tolist()), nodes)
     if budget_hit:
         return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)
     return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, nodes)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from itertools import product
 
 import numpy as np
@@ -452,3 +453,45 @@ def check_oracle_agreement(m_values) -> None:
             pairs = close_pairs(side, g)
             assert raw.size == pairs.size
             assert canonicalized_elements(raw, g) == pairs.element_set
+
+
+def scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, w) -> bool:
+    """Reference for closure._PartialIso.extend: the per-element worklist the
+    isomorphism search once ran.  Maps the unassigned x to w, then pairs each
+    newly assigned element with the whole domain, one product at a time,
+    assigning every forced image.  phi, used_by (lists) and domain (the list
+    of assigned elements) are updated in place, and restored on failure."""
+    trail: list[int] = []
+    queue: deque = deque()
+
+    def assign(x: int, w: int) -> bool:
+        if phi[x] >= 0:
+            return phi[x] == w
+        if used_by[w] >= 0 or cols1[x] != cols2[w]:
+            return False
+        phi[x] = w
+        used_by[w] = x
+        domain.append(x)
+        trail.append(x)
+        queue.append(x)
+        return True
+
+    def propagate() -> bool:
+        while queue:
+            x = queue.popleft()
+            px = phi[x]
+            for y in list(domain):
+                py = phi[y]
+                if not assign(rows1[x][y], rows2[px][py]):
+                    return False
+                if not assign(rows1[y][x], rows2[py][px]):
+                    return False
+        return True
+
+    if assign(x, w) and propagate():
+        return True
+    for z in reversed(trail):
+        used_by[phi[z]] = -1
+        phi[z] = -1
+        domain.pop()
+    return False

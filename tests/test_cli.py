@@ -251,6 +251,21 @@ def test_iso_command(capsys):
         "P(D_50) vs P(D_25): isomorphic_with_witness (28 nodes)",
         "L(D_50) vs L(D_25): isomorphic_with_witness (28 nodes)",
     ]
+    # the iso_witness memory anchor, a long search, and an exhausted budget
+    code, out, _ = run_cli(capsys, "iso", "--m", "74", "--m2", "37")
+    assert code == 0
+    assert out.splitlines() == [
+        "P(D_74) vs P(D_37): isomorphic_with_witness (39 nodes)",
+        "L(D_74) vs L(D_37): isomorphic_with_witness (39 nodes)",
+    ]
+    code, out, _ = run_cli(capsys, "iso", "--m", "85")
+    assert code == 0
+    assert out == (
+        "P(D_85) vs L(D_85): isomorphic_with_witness (criterion says isomorphic, 184 nodes)\n"
+    )
+    code, out, _ = run_cli(capsys, "iso", "--m", "100", "--budget", "50")
+    assert code == 2
+    assert out == "P(D_100) vs L(D_100): budget_exhausted (criterion says isomorphic, 51 nodes)\n"
 
 
 def test_iso_usage_errors(capsys, monkeypatch):

@@ -25,7 +25,7 @@ from commsem import (
     verify_iso_map,
 )
 from commsem import closure
-from support import check_oracle_agreement, check_pairs_match_formula
+from support import check_oracle_agreement, check_pairs_match_formula, scalar_extend
 
 
 def test_raw_anchor_values():
@@ -249,7 +249,7 @@ def test_search_size_mismatch_and_budget():
 def test_distinct_counts_match_sets():
     g12 = GroupParams.from_modulus(12)
     for side in ("right", "left"):
-        t = closure._mult_table(sorted(close_pairs(side, g12).element_set), 12)
+        t = closure._mult_table(sorted(close_pairs(side, g12).element_set), 12, side)
         rows, cols = closure._distinct_counts(t, 1), closure._distinct_counts(t, 0)
         for x in range(t.shape[0]):
             assert rows[x] == len(set(t[x].tolist()))
@@ -258,13 +258,159 @@ def test_distinct_counts_match_sets():
 
 def test_mult_table_rejects_unclosed_keys():
     keys = sorted(close_pairs("right", GroupParams.from_modulus(8)).element_set)
-    t = closure._mult_table(keys, 8)
+    t = closure._mult_table(keys, 8, "right")
     assert t.dtype == "int32"
     # drop a product of two other elements, so that product has no index
     i, j = next((i, j) for i in range(len(keys)) for j in range(len(keys)) if t[i, j] not in (i, j))
     unclosed = [k for k in keys if k != keys[t[i, j]]]
-    with pytest.raises(ConsistencyError):
-        closure._mult_table(unclosed, 8)
+    with pytest.raises(ConsistencyError) as info:
+        closure._mult_table(unclosed, 8, "right")
+    assert str(info.value).startswith("m=8 side=right stage=_mult_table: ")
+
+
+def test_verify_iso_map_refuses_above_cap(monkeypatch):
+    def no_table(*_args):
+        raise AssertionError("the multiplication table must not be built")
+
+    monkeypatch.setattr(closure, "_mult_table", no_table)
+    # |P| = |L| = 10201 at m = 101, above the cap
+    with pytest.raises(ResourceLimitError) as info:
+        verify_iso_map(GroupParams.from_modulus(101), lambda a, b: (a, b))
+    assert "10201" in str(info.value) and str(closure.ISO_ELEMENT_LIMIT) in str(info.value)
+
+
+def _table(m, side):
+    keys = sorted(close_pairs(side, GroupParams.from_modulus(m)).element_set)
+    return closure._mult_table(keys, m, side)
+
+
+# P vs L at one modulus (m = 12 has |P| = 15 and |L| = 18), and 2p vs p
+PROPAGATION_CASES = [(m, "right", m, "left") for m in (8, 12, 20, 52)] + [
+    (2 * p, side, p, side) for p in (5, 7, 13) for side in ("right", "left")
+]
+
+
+def _witness_images(s1, s2):
+    """The search's witness as a list of indices into the sorted keys, or None."""
+    res = search_isomorphism(s1, s2)
+    if res.status is not IsoStatus.ISOMORPHIC:
+        return None
+    position = {k: i for i, k in enumerate(sorted(s2.element_set))}
+    images = {f.key: position[h.key] for f, h in res.witness.items()}
+    return [images[k] for k in sorted(s1.element_set)]
+
+
+def test_frontier_rounds_keep_every_block(monkeypatch):
+    # x = 0 and y = 1 are idempotents, x*y = 2, y*x = 3, 2*2 = 4, 3*3 = 5 and
+    # every other product is y.  With one frontier element per block, the
+    # round whose frontier is {2, 3} finds 4 and 5 in different blocks.
+    monkeypatch.setattr(closure, "_CHUNK_BYTES", 1)
+    rows = [[1] * 6 for _ in range(6)]
+    for x, y, z in ((0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (2, 2, 4), (3, 3, 5)):
+        rows[x][y] = z
+    t = np.array(rows, dtype=np.int32)
+    assert closure._greedy_generators(t) == [0, 1]
+    partial = closure._PartialIso(t, t, np.zeros(6), np.zeros(6))
+    assert partial.extend(1, 1) and partial.extend(0, 0)
+    assert partial.phi.tolist() == list(range(6))
+
+
+# a one-byte chunk makes every block a single frontier element
+@pytest.mark.parametrize("chunk_bytes", [closure._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("m1,side1,m2,side2", PROPAGATION_CASES)
+def test_frontier_propagation_matches_scalar_reference(
+    monkeypatch, m1, side1, m2, side2, chunk_bytes
+):
+    monkeypatch.setattr(closure, "_CHUNK_BYTES", chunk_bytes)
+    t1, t2 = _table(m1, side1), _table(m2, side2)
+    colors = closure._refine_colors(t1, t2) if len(t1) == len(t2) else None
+    if colors is None:
+        # the idempotent flag is invariant too, and keeps the colour check live
+        colors = tuple(np.diagonal(t) == np.arange(len(t)) for t in (t1, t2))
+    col1, col2 = colors
+    rows1, rows2, cols1, cols2 = t1.tolist(), t2.tolist(), col1.tolist(), col2.tolist()
+    gens = closure._greedy_generators(t1)
+    witness = _witness_images(
+        close_pairs(side1, GroupParams.from_modulus(m1)),
+        close_pairs(side2, GroupParams.from_modulus(m2)),
+    )
+    rng = random.Random(f"{m1}{side1}{m2}{side2}")
+    outcomes = set()
+    for trial in range(21):
+        # the last trial takes every image from a witness, when there is one
+        follow = trial == 20 and witness is not None
+        partial = closure._PartialIso(t1, t2, col1, col2)
+        phi, used_by, domain = [-1] * len(t1), [-1] * len(t2), []
+        for x in rng.sample(gens, len(gens)):
+            if phi[x] >= 0:
+                continue
+            free = [w for w in range(len(t2)) if used_by[w] < 0]
+            alike = [w for w in free if cols2[w] == cols1[x]]
+            # mostly colour-compatible images, so closures grow before failing
+            guess = rng.choice(alike if alike and rng.random() < 0.9 else free)
+            w = witness[x] if follow else guess
+            ok = scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, w)
+            assert partial.extend(x, w) == ok
+            assert partial.phi.tolist() == phi and partial.used_by.tolist() == used_by
+            assert sorted(partial.domain[: partial.size].tolist()) == sorted(domain)
+            outcomes.add(ok)
+            if not ok:
+                break
+        if follow:
+            assert partial.phi.tolist() == witness
+    assert outcomes == {True, False}
+    assert (witness is None) == (m1 == 12)
+
+
+# x = 0 and y = 1 are idempotents; after y -> y, mapping x -> x forces the
+# images of x*y and y*x in one round.  First: x*y and y*x are distinct
+# absorbing elements, both forced onto the one absorbing image.  Second: x*y
+# = y*x is absorbing, forced onto two distinct absorbing-like images.  Both
+# maps must be refused, although every later round would be consistent.
+ONE_ROUND_CONFLICTS = [
+    (
+        [[0, 2, 2, 3], [3, 1, 2, 3], [2, 2, 2, 2], [3, 3, 3, 3]],
+        [[0, 2, 2], [2, 1, 2], [2, 2, 2]],
+    ),
+    (
+        [[0, 2, 2], [2, 1, 2], [2, 2, 2]],
+        [[0, 2, 2, 3], [3, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]],
+    ),
+]
+
+
+@pytest.mark.parametrize("rows1,rows2", ONE_ROUND_CONFLICTS)
+def test_frontier_propagation_refuses_conflicts_within_one_round(rows1, rows2):
+    cols1, cols2 = [0] * len(rows1), [0] * len(rows2)
+    phi, used_by, domain = [-1] * len(rows1), [-1] * len(rows2), []
+    t1, t2 = np.array(rows1, dtype=np.int32), np.array(rows2, dtype=np.int32)
+    partial = closure._PartialIso(t1, t2, np.array(cols1), np.array(cols2))
+    for x, expected in ((1, True), (0, False)):
+        assert scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, x) is expected
+        assert partial.extend(x, x) is expected
+        assert partial.phi.tolist() == phi and partial.used_by.tolist() == used_by
+
+
+@pytest.mark.parametrize("chunk_bytes", [closure._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("m,side", [(8, "right"), (12, "left"), (52, "right"), (26, "left")])
+def test_greedy_generators_generate_the_table(monkeypatch, m, side, chunk_bytes):
+    monkeypatch.setattr(closure, "_CHUNK_BYTES", chunk_bytes)
+    t = _table(m, side)
+    gens = closure._greedy_generators(t)
+    reached, frontier = set(gens), list(gens)
+    while frontier:
+        x = frontier.pop()
+        for y in list(reached):
+            for z in (int(t[x, y]), int(t[y, x])):
+                if z not in reached:
+                    reached.add(z)
+                    frontier.append(z)
+    assert reached == set(range(len(t)))
+    # an element outside the image of t is no product, so only a generator
+    # gives it; these irreducibles come first, in order
+    irreducible = sorted(set(range(len(t))) - set(t.ravel().tolist()))
+    assert gens[: len(irreducible)] == irreducible
+    assert len(set(gens)) == len(gens)
 
 
 def test_pairs_bound():
