@@ -15,21 +15,28 @@ in full.
 
 search_isomorphism decides whether two small semigroups are isomorphic by
 backtracking over images of a greedy generating set, pruned by a joint
-colour refinement of the int32 multiplication tables.  Each choice of image
-is closed under products in semi-naive frontier rounds: a round gathers the
-products of the elements the round before assigned with the whole assigned
-domain, both ways, in one table and at their images in the other, and
-checks every forced pair in whole arrays before any is written.  Definite
-answers are sound (witnesses are verified on all pairs, refusals come from
-exhaustion) and an exhausted node budget is reported as such, never guessed
-around.
+colour refinement.  It reads every product from a scale-factored table: the
+composition rule makes x * y depend only on x and the scale of y, so the
+multiplication is an n x s int32 table T over the s distinct scales plus
+each element's scale column sig, with x * y = T[x, sig[y]] (_scale_table).
+The initial colours (monogenic index and period, idempotency, row and
+column spans) come from T in whole-array rounds; a colour refinement stamp,
+needed only when those colours fail to separate, expands T a block of rows
+at a time, so no n x n array is ever built.  Each choice of image is closed
+under products in semi-naive frontier rounds: a round gathers the products
+of the elements the round before assigned with the whole assigned domain,
+both ways, in one semigroup and at their images in the other, and checks
+every forced pair in whole arrays before any is written.  Definite answers
+are sound (witnesses are verified on all n^2 pairs, refusals come from
+exhaustion) and an exhausted node budget is reported as such, never
+guessed around.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -279,7 +286,7 @@ def verify_iso_map(g: GroupParams, image_rule: Callable[[int, int], tuple[int, i
     if len(source) != len(target) or (perm < 0).any() or np.unique(perm).size != perm.size:
         return False
     return _preserves_products(
-        perm, _mult_table(source, g.m, "right"), _mult_table(target, g.m, "left")
+        perm, _scale_table(source, g.m, "right"), _scale_table(target, g.m, "left")
     )
 
 
@@ -298,52 +305,90 @@ class IsoSearchResult:
 
 def _check_iso_size(n: int) -> None:
     """Refuse an isomorphism search or check over n elements above the cap,
-    before any multiplication table is built."""
+    before any product table is built."""
     if n > ISO_ELEMENT_LIMIT:
         raise ResourceLimitError(
             f"isomorphism search limited to {ISO_ELEMENT_LIMIT} elements, got {n}"
         )
 
 
-def _mult_table(keys: list[int], m: int, side: str) -> np.ndarray:
-    """Index-valued int32 multiplication table of CanonicalMap keys; raises if
-    not closed.  int32 holds any index: n <= m * shift_modulus(m) < 2**31."""
+def _scale_table(keys: list[int], m: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication of CanonicalMap keys, factored through scales.
+
+    Composition multiplies both parameters of the left factor by the scale of
+    the right factor, so x * y depends only on x and the scale of y.  Returns
+    (T, sig): T[x, c] is the index of x * (any key of scale u[c]), for the s
+    distinct scales u of the keys, and sig[y] is the column of y's scale, so
+    x * y = T[x, sig[y]] and every column is some element's.  Raises if a
+    product is not among the keys.  int32 holds any index: n <= m *
+    shift_modulus(m) < 2**31.  Any n x n table t is the pair (t, arange(n)).
+    """
     sm = shift_modulus(m)
     keys = np.asarray(keys, dtype=np.int64)
     scales, shifts = np.divmod(keys, sm)
+    u, sig = np.unique(scales, return_inverse=True)
     lookup = np.full(m * sm, -1, dtype=np.int32)
-    n = len(keys)
-    lookup[keys] = np.arange(n)
-    table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        table[i] = lookup[(scales[i] * scales % m) * sm + shifts[i] * scales % sm]
+    lookup[keys] = np.arange(len(keys))
+    table = lookup[(scales[:, None] * u % m) * sm + shifts[:, None] * u % sm]
     if (table < 0).any():
         raise ConsistencyError(
-            f"m={m} side={side} stage=_mult_table: element set is not closed under composition"
+            f"m={m} side={side} stage=_scale_table: element set is not closed under composition"
         )
-    return table
+    return table, sig
 
 
-def _preserves_products(perm: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> bool:
-    """Whether x -> perm[x] carries every product of t1 to the product in t2,
-    checked a block of rows at a time so no n x n temporary is built."""
+def _preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
+    """Whether x -> perm[x] carries every product of mult1 to the product in
+    mult2, over all n^2 pairs, a block of rows at a time so no n x n
+    temporary is built."""
+    t1, sig1 = mult1
+    t2, sig2 = mult2
+    image_cols = sig2[perm]
     step = max(1, _CHUNK_BYTES // (4 * len(perm)))  # rows of int32 products
     for lo in range(0, len(perm), step):
         rows = slice(lo, lo + step)
-        if not np.array_equal(perm[t1[rows]], t2[perm[rows, None], perm]):
+        if not np.array_equal(perm[t1[rows][:, sig1]], t2[perm[rows, None], image_cols]):
             return False
     return True
 
 
-def _monogenic_profile(table: np.ndarray, x: int) -> tuple[int, int]:
-    seen: dict[int, int] = {}
-    value, e = x, 1
-    while value not in seen:
-        seen[value] = e
-        value = int(table[value, x])
-        e += 1
-    first = seen[value]
-    return first, e - first
+def _monogenic_profiles(mult) -> np.ndarray:
+    """(index, period) of every element x: the least i and p >= 1 with
+    x^i = x^(i+p).  Brent's cycle search runs on all x in lockstep numpy
+    rounds of x^(k+1) = T[x^k, sig[x]], each round over the elements whose
+    search is still live, so the rounds hold O(n) memory."""
+    table, sig = mult
+    n = len(sig)
+
+    def advance(v: np.ndarray, live: np.ndarray) -> None:
+        v[live] = table[v[live], sig[live]]
+
+    # the period: the hare runs ahead, and the tortoise jumps to it at
+    # every power of two, until the hare meets it
+    tortoise = np.arange(n)
+    hare = table[tortoise, sig]
+    power, period = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    live = np.flatnonzero(tortoise != hare)
+    while len(live):
+        jump = live[power[live] == period[live]]
+        tortoise[jump] = hare[jump]
+        power[jump] *= 2
+        period[jump] = 0
+        advance(hare, live)
+        period[live] += 1
+        live = live[tortoise[live] != hare[live]]
+    # the index: from x and x^(1+period), step both until they meet
+    tortoise, hare = np.arange(n), np.arange(n)
+    for k in range(int(period.max(initial=0))):
+        advance(hare, np.flatnonzero(period > k))
+    index = np.ones(n, dtype=np.int64)
+    live = np.flatnonzero(tortoise != hare)
+    while len(live):
+        advance(tortoise, live)
+        advance(hare, live)
+        index[live] += 1
+        live = live[tortoise[live] != hare[live]]
+    return np.column_stack([index, period])
 
 
 def _distinct_counts(table: np.ndarray, axis: int) -> np.ndarray:
@@ -352,71 +397,91 @@ def _distinct_counts(table: np.ndarray, axis: int) -> np.ndarray:
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def _initial_signatures(table: np.ndarray) -> np.ndarray:
+def _initial_signatures(mult) -> np.ndarray:
     """One row per element: monogenic index, period, idempotent flag, row
-    span and column span."""
-    n = table.shape[0]
-    profiles = [_monogenic_profile(table, x) for x in range(n)]
-    idempotent = np.diagonal(table) == np.arange(n)
+    span and column span.  Every column of T is some element's, so a row of
+    T holds the distinct products of its row, and the column span of y is
+    that of its scale column."""
+    table, sig = mult
+    idempotent = table[np.arange(len(sig)), sig] == np.arange(len(sig))
     return np.column_stack(
-        [profiles, idempotent, _distinct_counts(table, 1), _distinct_counts(table, 0)]
+        [
+            _monogenic_profiles(mult),
+            idempotent,
+            _distinct_counts(table, 1),
+            _distinct_counts(table, 0)[sig],
+        ]
     )
 
 
-def _shared_colors(sig1: np.ndarray, sig2: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dense colours for the signature rows of both tables from one shared
-    palette, so equal signatures get equal colours across the pair."""
+def _shared_colors(
+    rows1: Iterable[np.ndarray], rows2: Iterable[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense colours for the signature rows of both semigroups from one
+    shared palette, so equal signatures get equal colours across the pair."""
     palette: dict[bytes, int] = {}
-    col1 = [palette.setdefault(row.tobytes(), len(palette)) for row in sig1]
-    col2 = [palette.setdefault(row.tobytes(), len(palette)) for row in sig2]
+    col1 = [palette.setdefault(row.tobytes(), len(palette)) for row in rows1]
+    col2 = [palette.setdefault(row.tobytes(), len(palette)) for row in rows2]
     return np.asarray(col1), np.asarray(col2), len(palette)
 
 
-def _stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:
-    """Each element's colour followed by the sorted multiset of (colour of y,
-    colour of x*y, colour of y*x) over all y, encoded base width; width is at
-    most 2 * ISO_ELEMENT_LIMIT, so width**3 stays far inside int64."""
-    prod = col[table]
-    combo = (col * width + prod) * width + prod.T
-    combo.sort(axis=1)
-    return np.column_stack([col, combo])
+def _stamp(mult, col: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Yield, for each element x in order, its colour followed by the sorted
+    multiset of (colour of y, colour of x*y, colour of y*x) over all y,
+    encoded base width; width is at most 2 * ISO_ELEMENT_LIMIT, so width**3
+    stays far inside int64.  The rows are built a block at a time, so only a
+    block of the n x n products is ever expanded from T."""
+    table, sig = mult
+    colored = col[table]  # colored[x, sig[y]] is the colour of x * y
+    step = max(1, _CHUNK_BYTES // (8 * len(sig)))  # rows of int64 codes
+    for lo in range(0, len(sig), step):
+        rows = slice(lo, lo + step)
+        combo = (col * width + colored[rows][:, sig]) * width + colored[:, sig[rows]].T
+        combo.sort(axis=1)
+        yield from np.column_stack([col[rows], combo])
 
 
-def _refine_colors(t1: np.ndarray, t2: np.ndarray):
-    """Joint colour refinement of the two multiplication tables.
+def _refine_colors(mult1, mult2):
+    """Joint colour refinement of the two multiplications.
 
     Colours are interned in one shared palette so they are comparable across
     the pair; any isomorphism must preserve them.  Returns the stable colour
     arrays, or None as soon as the colour multisets separate.
     """
-    col1, col2, count = _shared_colors(_initial_signatures(t1), _initial_signatures(t2))
+    col1, col2, count = _shared_colors(_initial_signatures(mult1), _initial_signatures(mult2))
     while True:
         if (np.bincount(col1, minlength=count) != np.bincount(col2, minlength=count)).any():
             return None
-        new1, new2, new_count = _shared_colors(_stamp(t1, col1, count), _stamp(t2, col2, count))
+        new1, new2, new_count = _shared_colors(
+            _stamp(mult1, col1, count), _stamp(mult2, col2, count)
+        )
         if new_count == count:
             return col1, col2
         col1, col2, count = new1, new2, new_count
 
 
-def _frontier_products(table: np.ndarray, frontier: np.ndarray, domain: np.ndarray):
-    """Yield table[f, d] then table[d, f], flattened, for f in frontier and d in
-    domain, one block of frontier elements at a time.  A block's products,
+def _frontier_products(mult, frontier: np.ndarray, domain: np.ndarray):
+    """Yield the products f * d then d * f, flattened, for f in frontier and d
+    in domain, one block of frontier elements at a time.  A block's products,
     widened to int64 codes, fit _CHUNK_BYTES; pass the same frontier and domain
-    lengths to two tables and their blocks line up entry for entry."""
+    lengths to two multiplications and their blocks line up entry for entry."""
+    table, sig = mult
+    domain_cols = sig[domain]
     step = max(1, _CHUNK_BYTES // (16 * len(domain)))  # 2 * f * |domain| int64 codes
     for lo in range(0, len(frontier), step):
         block = frontier[lo : lo + step]
         yield np.concatenate(
-            (table[block[:, None], domain].ravel(), table[domain[:, None], block].ravel())
+            (table[block[:, None], domain_cols].ravel(), table[domain[:, None], sig[block]].ravel())
         )
 
 
-def _greedy_generators(table: np.ndarray) -> list[int]:
+def _greedy_generators(mult) -> list[int]:
     """A small generating set: every irreducible element (one that is not a
     product of any two elements) must be a generator; greedy absorption mops
-    up whatever the irreducibles fail to reach."""
-    n = len(table)
+    up whatever the irreducibles fail to reach.  Every column of T is some
+    element's, so the entries of T are exactly the products."""
+    table, sig = mult
+    n = len(sig)
     reducible = np.zeros(n, dtype=bool)
     reducible[table.ravel()] = True
     inside = np.zeros(n, dtype=bool)
@@ -431,7 +496,7 @@ def _greedy_generators(table: np.ndarray) -> list[int]:
             lo, size = size, size + len(new)
             members[lo:size] = new
             new = np.empty(0, dtype=np.int32)
-            for z in _frontier_products(table, members[lo:size], members[:size]):
+            for z in _frontier_products(mult, members[lo:size], members[:size]):
                 new = np.union1d(new, z[~inside[z]])
 
     gens = np.flatnonzero(~reducible).tolist()
@@ -446,25 +511,27 @@ def _greedy_generators(table: np.ndarray) -> list[int]:
 
 
 class _PartialIso:
-    """A partial injective map phi from the elements of t1 to those of t2
-    that preserves colours and is closed under products: its domain is a
-    subsemigroup and phi[x * y] = phi[x] * phi[y] on it.  A pair (x, w) is
-    coded as x * len(t2) + w."""
+    """A partial injective map phi from the elements of one semigroup to those
+    of another that preserves colours and is closed under products: its
+    domain is a subsemigroup and phi[x * y] = phi[x] * phi[y] on it.  Each
+    multiplication is a scale-factored pair (T, sig), x * y = T[x, sig[y]]
+    (_scale_table).  A pair (x, w) is coded as x * n2 + w, n2 the size of the
+    second semigroup."""
 
-    def __init__(self, t1: np.ndarray, t2: np.ndarray, col1: np.ndarray, col2: np.ndarray):
-        self.t1, self.t2, self.col1, self.col2 = t1, t2, col1, col2
-        self.phi = np.full(len(t1), -1, dtype=np.int32)
-        self.used_by = np.full(len(t2), -1, dtype=np.int32)
+    def __init__(self, mult1, mult2, col1: np.ndarray, col2: np.ndarray):
+        self.mult1, self.mult2, self.col1, self.col2 = mult1, mult2, col1, col2
+        self.phi = np.full(len(col1), -1, dtype=np.int32)
+        self.used_by = np.full(len(col2), -1, dtype=np.int32)
         # domain[:size] holds the assigned elements in assignment order
-        self.domain, self.size = np.empty(len(t1), dtype=np.int32), 0
+        self.domain, self.size = np.empty(len(col1), dtype=np.int32), 0
 
     def extend(self, x: int, w: int) -> bool:
         """Map the unassigned x to w and close under products, in frontier
         rounds: each round composes the elements the last round assigned with
-        the whole domain, both ways, in t1 and at their images in t2.  Every
-        proposed pair is forced, so the closure is the unique homomorphic
-        extension whatever the order; on any conflict the map is restored
-        and False returned."""
+        the whole domain, both ways, in the first semigroup and at their
+        images in the second.  Every proposed pair is forced, so the closure
+        is the unique homomorphic extension whatever the order; on any
+        conflict the map is restored and False returned."""
         n = len(self.used_by)
         start = self.size
         codes = np.array([x * n + w], dtype=np.int64)
@@ -493,8 +560,8 @@ class _PartialIso:
         frontier, domain = self.domain[lo : self.size], self.domain[: self.size]
         pending = np.empty(0, dtype=np.int64)
         blocks = zip(
-            _frontier_products(self.t1, frontier, domain),
-            _frontier_products(self.t2, self.phi[frontier], self.phi[domain]),
+            _frontier_products(self.mult1, frontier, domain),
+            _frontier_products(self.mult2, self.phi[frontier], self.phi[domain]),
         )
         for xs, ws in blocks:
             xs, ws = np.divmod(np.unique(xs.astype(np.int64) * n + ws), n)
@@ -521,15 +588,17 @@ def search_isomorphism(
     """Decide whether two closed semigroups are isomorphic.
 
     Backtracks over colour-compatible images of a generating set of s1.
-    Every choice is closed under products in frontier rounds
-    (_PartialIso.extend), which gather the forced images from both
-    multiplication tables in bounded blocks and refuse any conflict in whole
-    arrays.  That closure is the unique homomorphic extension of the chosen
-    images, so neither it nor the node count depends on the order in which
-    products are examined.  A returned witness has been verified on all
-    element pairs; a not_isomorphic verdict means the colour-pruned search
-    space was exhausted, which is complete because colours are
-    isomorphism-invariant.
+    Both multiplications are scale-factored tables (T, sig), x * y =
+    T[x, sig[y]] (_scale_table), built only after the size cap admits the
+    search; no n x n table is built at all.  Every choice is closed under
+    products in frontier rounds (_PartialIso.extend), which gather the
+    forced images through both tables in bounded blocks and refuse any
+    conflict in whole arrays.  That closure is the unique homomorphic
+    extension of the chosen images, so neither it nor the node count depends
+    on the order in which products are examined.  A returned witness has
+    been verified on all n^2 element pairs; a not_isomorphic verdict means
+    the colour-pruned search space was exhausted, which is complete because
+    colours are isomorphism-invariant.
     """
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
@@ -545,26 +614,27 @@ def search_isomorphism(
         # same element set under the same composition rule: identity works
         return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
     _check_iso_size(n)
-    t1 = _mult_table(e1, s1.m, s1.side)
-    t2 = _mult_table(e2, s2.m, s2.side)
-    colors = _refine_colors(t1, t2)
+    mult1 = _scale_table(e1, s1.m, s1.side)
+    mult2 = _scale_table(e2, s2.m, s2.side)
+    colors = _refine_colors(mult1, mult2)
     if colors is None:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
     col1, col2 = colors
-    gens = _greedy_generators(t1)
+    gens = _greedy_generators(mult1)
     candidates: dict[int, list[int]] = {}
     for gi in gens:
-        # refinement returned, so every colour of t1 also occurs in t2
+        # refinement returned, so every colour of s1 also occurs in s2
         cands = np.flatnonzero(col2 == col1[gi]).tolist()
         if s1.m == s2.m:
             cands.sort(key=lambda w: (e2[w] != e1[gi], w))
         candidates[gi] = cands
     # assign the most constraining generators first: a large left-ideal means
     # many forced images per assignment, so conflicts surface early
-    column_span = _distinct_counts(t1, 0).tolist()
+    t1, sig1 = mult1
+    column_span = _distinct_counts(t1, 0)[sig1].tolist()
     order = sorted(gens, key=lambda gi: (-column_span[gi], len(candidates[gi]), gi))
 
-    partial = _PartialIso(t1, t2, col1, col2)
+    partial = _PartialIso(mult1, mult2, col1, col2)
     phi, used_by = partial.phi, partial.used_by
     nodes = 0
     budget_hit = False
@@ -572,7 +642,7 @@ def search_isomorphism(
     def dfs(k: int) -> bool:
         nonlocal nodes, budget_hit
         if k == len(order):
-            return partial.size == n and _preserves_products(phi, t1, t2)
+            return partial.size == n and _preserves_products(phi, mult1, mult2)
         x = order[k]
         if phi[x] >= 0:
             return dfs(k + 1)

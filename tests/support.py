@@ -44,6 +44,7 @@ from commsem import (
     rho_map,
 )
 
+from commsem.mumaps import shift_modulus
 from perm_oracle import perm_commutator, perm_compose, perm_inverse, perm_of
 
 
@@ -495,3 +496,57 @@ def scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, w) -> boo
         phi[z] = -1
         domain.pop()
     return False
+
+
+def reference_mult_table(keys, m: int) -> np.ndarray:
+    """Reference for closure._scale_table: the full n x n int32 table of the
+    sorted CanonicalMap keys, one row at a time, as the isomorphism search
+    once built it; -1 marks a product outside the keys."""
+    sm = shift_modulus(m)
+    keys = np.asarray(keys, dtype=np.int64)
+    scales, shifts = np.divmod(keys, sm)
+    lookup = np.full(m * sm, -1, dtype=np.int32)
+    lookup[keys] = np.arange(len(keys))
+    table = np.empty((len(keys), len(keys)), dtype=np.int32)
+    for i in range(len(keys)):
+        table[i] = lookup[(scales[i] * scales % m) * sm + shifts[i] * scales % sm]
+    return table
+
+
+def scalar_monogenic_profile(table: np.ndarray, x: int) -> tuple[int, int]:
+    """Index and period of x's powers x, x^2 = table[x, x], x^(k+1) =
+    table[x^k, x], walked one power at a time until one repeats."""
+    seen: dict[int, int] = {}
+    value, e = x, 1
+    while value not in seen:
+        seen[value] = e
+        value = int(table[value, x])
+        e += 1
+    first = seen[value]
+    return first, e - first
+
+
+def reference_signatures(table: np.ndarray) -> np.ndarray:
+    """Reference for closure._initial_signatures on a full n x n table: per
+    element, monogenic index, period, idempotent flag, and the numbers of
+    distinct entries in its row and in its column, counted by marking each
+    (row, entry) and (entry, column) pair in a boolean matrix."""
+    n = len(table)
+    in_row = np.zeros((n, n), dtype=bool)
+    in_row[np.arange(n)[:, None], table] = True
+    in_column = np.zeros((n, n), dtype=bool)
+    in_column[table, np.arange(n)] = True
+    profiles = [scalar_monogenic_profile(table, x) for x in range(n)]
+    return np.column_stack(
+        [profiles, np.diagonal(table) == np.arange(n), in_row.sum(axis=1), in_column.sum(axis=0)]
+    ).astype(np.int64)
+
+
+def reference_stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:
+    """Reference for closure._stamp on a full n x n table, in whole arrays:
+    row x is col[x] followed by the sorted codes (col[y] * width + col[x*y])
+    * width + col[y*x] over all y."""
+    prod = col[table]
+    combo = (col * width + prod) * width + prod.T
+    combo.sort(axis=1)
+    return np.column_stack([col, combo])

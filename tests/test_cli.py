@@ -240,11 +240,14 @@ def test_iso_command(capsys):
     assert out == (
         "P(D_100) vs L(D_100): isomorphic_with_witness (criterion says isomorphic, 145 nodes)\n"
     )
-    code, out, _ = run_cli(capsys, "iso", "--m", "55")
-    assert code == 0
-    assert out == (
-        "P(D_55) vs L(D_55): not_isomorphic (criterion says not isomorphic, 0 nodes)\n"
-    )
+    # the iso_refute anchors (m = 95, 3515 elements), all decided by the
+    # initial signatures
+    for m in (55, 95, 77, 87):
+        code, out, _ = run_cli(capsys, "iso", "--m", str(m))
+        assert code == 0
+        assert out == (
+            f"P(D_{m}) vs L(D_{m}): not_isomorphic (criterion says not isomorphic, 0 nodes)\n"
+        )
     code, out, _ = run_cli(capsys, "iso", "--m", "50", "--m2", "25")
     assert code == 0
     assert out.splitlines() == [
@@ -275,9 +278,9 @@ def test_iso_usage_errors(capsys, monkeypatch):
     assert code == 1 and not out and "--m2" in err
 
     def no_table(*_args):
-        raise AssertionError("the multiplication table must not be built")
+        raise AssertionError("the product table must not be built")
 
-    monkeypatch.setattr(closure, "_mult_table", no_table)
+    monkeypatch.setattr(closure, "_scale_table", no_table)
     # |P| = |L| = 53235 at m = 4095 and 5175 at m = 115, both above the cap
     for m, n in ((4095, 53235), (115, 5175)):
         code, out, err = run_cli(capsys, "iso", "--m", str(m))

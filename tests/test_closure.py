@@ -1,6 +1,7 @@
 """Closure oracles and isomorphism search."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,15 @@ from commsem import (
     verify_iso_map,
 )
 from commsem import closure
-from support import check_oracle_agreement, check_pairs_match_formula, scalar_extend
+from support import (
+    check_oracle_agreement,
+    check_pairs_match_formula,
+    reference_mult_table,
+    reference_signatures,
+    reference_stamp,
+    scalar_extend,
+    scalar_monogenic_profile,
+)
 
 
 def test_raw_anchor_values():
@@ -249,8 +258,9 @@ def test_search_size_mismatch_and_budget():
 def test_distinct_counts_match_sets():
     g12 = GroupParams.from_modulus(12)
     for side in ("right", "left"):
-        t = closure._mult_table(sorted(close_pairs(side, g12).element_set), 12, side)
-        rows, cols = closure._distinct_counts(t, 1), closure._distinct_counts(t, 0)
+        scaled, sig = closure._scale_table(sorted(close_pairs(side, g12).element_set), 12, side)
+        rows, cols = closure._distinct_counts(scaled, 1), closure._distinct_counts(scaled, 0)[sig]
+        t = scaled[:, sig]
         for x in range(t.shape[0]):
             assert rows[x] == len(set(t[x].tolist()))
             assert cols[x] == len(set(t[:, x].tolist()))
@@ -258,21 +268,84 @@ def test_distinct_counts_match_sets():
 
 def test_mult_table_rejects_unclosed_keys():
     keys = sorted(close_pairs("right", GroupParams.from_modulus(8)).element_set)
-    t = closure._mult_table(keys, 8, "right")
-    assert t.dtype == "int32"
+    scaled, sig = closure._scale_table(keys, 8, "right")
+    assert scaled.dtype == "int32"
+    t = scaled[:, sig]
     # drop a product of two other elements, so that product has no index
     i, j = next((i, j) for i in range(len(keys)) for j in range(len(keys)) if t[i, j] not in (i, j))
     unclosed = [k for k in keys if k != keys[t[i, j]]]
     with pytest.raises(ConsistencyError) as info:
-        closure._mult_table(unclosed, 8, "right")
-    assert str(info.value).startswith("m=8 side=right stage=_mult_table: ")
+        closure._scale_table(unclosed, 8, "right")
+    assert str(info.value).startswith("m=8 side=right stage=_scale_table: ")
+
+
+# both sides of the P vs L moduli 15, 24, 55, 74 and 95, and of 2p vs p at
+# p = 13 and 37
+FACTORED_MODULI = [15, 24, 55, 74, 95, 13, 26, 37]
+
+
+@pytest.mark.parametrize("m", FACTORED_MODULI)
+def test_scale_table_expands_to_reference(m):
+    for side in ("right", "left"):
+        keys = sorted(close_pairs(side, GroupParams.from_modulus(m)).element_set)
+        scaled, sig = closure._scale_table(keys, m, side)
+        reference = reference_mult_table(keys, m)
+        assert scaled.dtype == "int32" and scaled.shape[1] == sig.max() + 1 < len(keys)
+        assert np.array_equal(scaled[:, sig], reference)
+        signatures = closure._initial_signatures((scaled, sig))
+        assert np.array_equal(signatures, reference_signatures(reference))
+
+
+# a one-byte chunk makes every block of stamp rows a single row
+@pytest.mark.parametrize("chunk_bytes", [closure._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("m,side", [(15, "right"), (24, "left"), (26, "right"), (13, "left")])
+def test_stamp_rows_match_whole_table_reference(monkeypatch, m, side, chunk_bytes):
+    monkeypatch.setattr(closure, "_CHUNK_BYTES", chunk_bytes)
+    scaled, sig = _table(m, side)
+    t = scaled[:, sig]
+    # the initial colours, and a random colouring that splits every class
+    col, _, width = closure._shared_colors(closure._initial_signatures((scaled, sig)), [])
+    rng = np.random.default_rng(m)
+    for col, width in ((col, width), (rng.integers(0, len(t), len(t)), len(t))):
+        rows = list(closure._stamp((scaled, sig), col, width))
+        assert np.array_equal(np.array(rows), reference_stamp(t, col, width))
+
+
+def test_monogenic_profiles_match_scalar_walk_on_arbitrary_tables():
+    # random tables, associative or not, with tails and cycles of every length
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 7, 30, 200):
+        for _ in range(5):
+            t = rng.integers(0, n, (n, n)).astype(np.int32)
+            profiles = closure._monogenic_profiles((t, np.arange(n)))
+            assert profiles.tolist() == [list(scalar_monogenic_profile(t, x)) for x in range(n)]
+    # one long cycle: x^k = k mod n for the powers of 1, so 1 has period n
+    n = 50
+    t = (np.arange(n)[:, None] + np.arange(n)) % n
+    profiles = closure._monogenic_profiles((t.astype(np.int32), np.arange(n)))
+    assert profiles.tolist() == [list(scalar_monogenic_profile(t, x)) for x in range(n)]
+
+
+def test_search_memory_below_n_squared_bytes():
+    # P(D_95) vs L(D_95) is decided by the initial signatures, so no table
+    # of n^2 entries is needed; the n x n int32 table alone is 4 n^2 bytes
+    g = GroupParams.from_modulus(95)
+    right, left = close_pairs("right", g), close_pairs("left", g)
+    tracemalloc.start()
+    try:
+        res = search_isomorphism(right, left)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status is IsoStatus.NOT_ISOMORPHIC and res.nodes == 0
+    assert right.size == 3515 and peak < right.size**2
 
 
 def test_verify_iso_map_refuses_above_cap(monkeypatch):
     def no_table(*_args):
-        raise AssertionError("the multiplication table must not be built")
+        raise AssertionError("the product table must not be built")
 
-    monkeypatch.setattr(closure, "_mult_table", no_table)
+    monkeypatch.setattr(closure, "_scale_table", no_table)
     # |P| = |L| = 10201 at m = 101, above the cap
     with pytest.raises(ResourceLimitError) as info:
         verify_iso_map(GroupParams.from_modulus(101), lambda a, b: (a, b))
@@ -280,8 +353,14 @@ def test_verify_iso_map_refuses_above_cap(monkeypatch):
 
 
 def _table(m, side):
+    """The scale-factored pair (T, sig) of one closure."""
     keys = sorted(close_pairs(side, GroupParams.from_modulus(m)).element_set)
-    return closure._mult_table(keys, m, side)
+    return closure._scale_table(keys, m, side)
+
+
+def _whole(t):
+    """A hand-made n x n table as a (T, sig) pair."""
+    return t, np.arange(len(t))
 
 
 # P vs L at one modulus (m = 12 has |P| = 15 and |L| = 18), and 2p vs p
@@ -309,8 +388,8 @@ def test_frontier_rounds_keep_every_block(monkeypatch):
     for x, y, z in ((0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (2, 2, 4), (3, 3, 5)):
         rows[x][y] = z
     t = np.array(rows, dtype=np.int32)
-    assert closure._greedy_generators(t) == [0, 1]
-    partial = closure._PartialIso(t, t, np.zeros(6), np.zeros(6))
+    assert closure._greedy_generators(_whole(t)) == [0, 1]
+    partial = closure._PartialIso(_whole(t), _whole(t), np.zeros(6), np.zeros(6))
     assert partial.extend(1, 1) and partial.extend(0, 0)
     assert partial.phi.tolist() == list(range(6))
 
@@ -322,14 +401,16 @@ def test_frontier_propagation_matches_scalar_reference(
     monkeypatch, m1, side1, m2, side2, chunk_bytes
 ):
     monkeypatch.setattr(closure, "_CHUNK_BYTES", chunk_bytes)
-    t1, t2 = _table(m1, side1), _table(m2, side2)
-    colors = closure._refine_colors(t1, t2) if len(t1) == len(t2) else None
+    mult1, mult2 = _table(m1, side1), _table(m2, side2)
+    # the scalar reference runs on the expanded n x n tables
+    t1, t2 = (scaled[:, sig] for scaled, sig in (mult1, mult2))
+    colors = closure._refine_colors(mult1, mult2) if len(t1) == len(t2) else None
     if colors is None:
         # the idempotent flag is invariant too, and keeps the colour check live
         colors = tuple(np.diagonal(t) == np.arange(len(t)) for t in (t1, t2))
     col1, col2 = colors
     rows1, rows2, cols1, cols2 = t1.tolist(), t2.tolist(), col1.tolist(), col2.tolist()
-    gens = closure._greedy_generators(t1)
+    gens = closure._greedy_generators(mult1)
     witness = _witness_images(
         close_pairs(side1, GroupParams.from_modulus(m1)),
         close_pairs(side2, GroupParams.from_modulus(m2)),
@@ -339,7 +420,7 @@ def test_frontier_propagation_matches_scalar_reference(
     for trial in range(21):
         # the last trial takes every image from a witness, when there is one
         follow = trial == 20 and witness is not None
-        partial = closure._PartialIso(t1, t2, col1, col2)
+        partial = closure._PartialIso(mult1, mult2, col1, col2)
         phi, used_by, domain = [-1] * len(t1), [-1] * len(t2), []
         for x in rng.sample(gens, len(gens)):
             if phi[x] >= 0:
@@ -384,7 +465,7 @@ def test_frontier_propagation_refuses_conflicts_within_one_round(rows1, rows2):
     cols1, cols2 = [0] * len(rows1), [0] * len(rows2)
     phi, used_by, domain = [-1] * len(rows1), [-1] * len(rows2), []
     t1, t2 = np.array(rows1, dtype=np.int32), np.array(rows2, dtype=np.int32)
-    partial = closure._PartialIso(t1, t2, np.array(cols1), np.array(cols2))
+    partial = closure._PartialIso(_whole(t1), _whole(t2), np.array(cols1), np.array(cols2))
     for x, expected in ((1, True), (0, False)):
         assert scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, x) is expected
         assert partial.extend(x, x) is expected
@@ -395,8 +476,9 @@ def test_frontier_propagation_refuses_conflicts_within_one_round(rows1, rows2):
 @pytest.mark.parametrize("m,side", [(8, "right"), (12, "left"), (52, "right"), (26, "left")])
 def test_greedy_generators_generate_the_table(monkeypatch, m, side, chunk_bytes):
     monkeypatch.setattr(closure, "_CHUNK_BYTES", chunk_bytes)
-    t = _table(m, side)
-    gens = closure._greedy_generators(t)
+    scaled, sig = _table(m, side)
+    gens = closure._greedy_generators((scaled, sig))
+    t = scaled[:, sig]
     reached, frontier = set(gens), list(gens)
     while frontier:
         x = frontier.pop()
