@@ -89,10 +89,9 @@ def build_row(m: int, verify_level: str) -> TableRow:
     formula = {"right": rep.p_order, "left": rep.lambda_order}
     verified = "formula_only"
     if verify_level in ("pairs", "raw"):
-        pair_sets = {}
+        pairs = {}
         for side in SIDES:
-            summary = close_pairs(side, g)
-            pair_sets[side] = summary.element_set
+            summary = pairs[side] = close_pairs(side, g)
             if summary.size != formula[side]:
                 raise VerificationFailure(
                     f"m={m} side={side}: formula value {formula[side]} != "
@@ -107,7 +106,7 @@ def build_row(m: int, verify_level: str) -> TableRow:
                         f"m={m} side={side}: formula value {formula[side]} != "
                         f"raw-oracle value {raw.size}"
                     )
-                if canonicalized_elements(raw, g) != pair_sets[side]:
+                if canonicalized_elements(raw, g) != pairs[side].element_set:
                     raise VerificationFailure(
                         f"m={m} side={side}: raw-oracle element set differs from pair oracle"
                     )

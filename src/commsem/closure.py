@@ -5,13 +5,26 @@ and never touches the parameter calculus; close_pairs closes canonical
 (scale, shift) pairs under the composition rule.  The two must agree
 wherever both run, which is the central correctness check of the package.
 
-Both closures use a worklist that composes known elements with generators
-only: every product of generators associates left to right, so extending by
-one right factor at a time reaches the whole generated subsemigroup.
-close_raw runs that worklist in frontier rounds of whole numpy arrays, in
-chunks of bounded size, and deduplicates exactly: a fingerprint only
-proposes which known table a product equals, and the two are then compared
-in full.
+close_raw runs a worklist that composes known tables with generators only:
+every product of generators associates left to right, so extending by one
+right factor at a time reaches the whole generated subsemigroup.  It runs
+in frontier rounds of whole numpy arrays, in chunks of bounded size, and
+deduplicates exactly: a fingerprint only proposes which known table a
+product equals, and the two are then compared in full.
+
+close_pairs needs no worklist over maps.  Composition multiplies both
+parameters of the left factor by the scale of the right factor, so a
+product of generators g0 g1 ... gk is g0 scaled by w = scale(g1) ...
+scale(gk).  The products of one or more generators are therefore exactly
+G u G.W: the generators G, and each generator scaled by each element of W,
+the multiplicative subsemigroup of Z_m that the generator scales generate.
+W is found by closing those scales under multiplication, never read off a
+formula, and G.W is marked in one bitmap over all keys, so the oracle stays
+independent of the order formulas it checks.
+
+Each oracle holds its elements in one read-only numpy array: sorted
+CanonicalMap keys for the pair oracle, and the int16 image tables, one row
+per element, for the raw oracle.
 
 search_isomorphism decides whether two small semigroups are isomorphic by
 backtracking over images of a greedy generating set, pruned by a joint
@@ -76,24 +89,37 @@ _FINGERPRINT_WEIGHTS = (
 _CHUNK_BYTES = 1 << 20
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class SemigroupSummary:
-    """One closed commutation semigroup with its element set and provenance.
+    """One closed commutation semigroup with its elements and provenance.
 
-    element_set holds CanonicalMap.key ints for the pair oracle (decode with
-    CanonicalMap.from_key) and int16 little-endian image tables, as bytes
-    (decodable with numpy), for the raw oracle.
+    elements is a read-only array: sorted int64 CanonicalMap keys for the
+    pair oracle (decode with CanonicalMap.from_key), and an (n, 2m) int16
+    array of image tables, one row per element, for the raw oracle.
     """
 
     m: int
     side: str
     generator_count: int
     oracle: str
-    element_set: frozenset
+    elements: np.ndarray
+
+    def __post_init__(self) -> None:
+        elements = np.asarray(self.elements).view()
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
 
     @property
     def size(self) -> int:
-        return len(self.element_set)
+        return len(self.elements)
+
+    @property
+    def element_set(self) -> frozenset:
+        """The elements as a frozenset: key ints for the pair oracle, each
+        table's int16 bytes for the raw oracle."""
+        if self.oracle == RAW_ORACLE:
+            return frozenset(table.tobytes() for table in self.elements)
+        return frozenset(self.elements.tolist())
 
 
 def _commutator_tables(side: str, g: GroupParams) -> np.ndarray:
@@ -130,6 +156,11 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     store, count = np.empty((k, n), dtype=np.uint8), 0
     known_fp, known_row = np.array([np.inf]), np.array([-1])
     step = max(1, _CHUNK_BYTES // (k * n))  # frontier tables whose uint8 products fit
+    # the chunk-sized arrays are allocated once: megabyte temporaries freed
+    # after every chunk can go back to the operating system and fault in anew
+    products_buf = np.empty((step, n, k), dtype=np.uint8)
+    matched_buf = np.empty((step * k, n), dtype=np.uint8)
+    equal_buf = np.empty((step, n, k), dtype=bool)
     # round 0 composes the identity with every generator, which stores the
     # generators themselves
     frontier = np.arange(n)[None]
@@ -138,8 +169,9 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
         for lo in range(0, len(frontier), step):
             chunk = frontier[lo : lo + step].astype(np.intp)
             f = len(chunk)
-            # products[i, x, j] = (chunk[i] then gens[j])(x) = gens[j][chunk[i][x]]
-            products = images[chunk]
+            # products[i, x, j] = (chunk[i] then gens[j])(x) = gens[j][chunk[i][x]];
+            # the indices are in range, and "clip" lets take write out unbuffered
+            products = np.take(images, chunk, axis=0, out=products_buf[:f], mode="clip")
             # its fingerprint is sum_y spread[i, y] * gens[j][y], spread[i, y]
             # being the total weight of the x with chunk[i][x] = y
             spread = np.bincount(
@@ -164,19 +196,41 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
                 known_row = np.insert(known_row, pos[new], match[new])
                 count += len(new)
             # the fingerprint only proposed the match; the tables must agree
-            if not np.array_equal(products, store[match[which].reshape(f, k)].transpose(0, 2, 1)):
+            matched = np.take(store, match[which], axis=0, out=matched_buf[: f * k], mode="clip")
+            equal = np.equal(products, matched.reshape(f, k, n).transpose(0, 2, 1), out=equal_buf[:f])
+            if not equal.all():
                 raise ConsistencyError(collision)
         frontier = store[round_start:count]
-    tables = store[:count].astype(np.int16)
-    return SemigroupSummary(g.m, side, k, RAW_ORACLE, frozenset(t.tobytes() for t in tables))
+    return SemigroupSummary(g.m, side, k, RAW_ORACLE, store[:count].astype(np.int16))
+
+
+def _scale_closure(scales: Iterable[int], m: int) -> list[int]:
+    """The multiplicative subsemigroup of Z_m that scales generate: every
+    product of one or more of them, closed by a worklist over residues."""
+    generators = set(scales)
+    known = set(generators)
+    stack = list(known)
+    while stack:
+        a = stack.pop()
+        for u in generators:
+            product = a * u % m
+            if product not in known:
+                known.add(product)
+                stack.append(product)
+    return sorted(known)
 
 
 def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     """Close the commutation maps as canonical parameter pairs (CanonicalMap keys).
 
-    Composition multiplies both coordinates of the left factor by the scale
-    of the right factor, so only the distinct generator scales matter when
-    extending the worklist.
+    A product of generators g0 g1 ... gk is g0 with both parameters scaled by
+    w = scale(g1) ... scale(gk), so the closure is G u G.W: the generator keys
+    G, and every generator scaled by every w in W, the multiplicative
+    subsemigroup of Z_m generated by the distinct generator scales
+    (_scale_closure; at most m residues).  Each scaled generator marks its key
+    in one bool bitmap of m * shift_modulus(m) entries, a block of W at a time
+    so no temporary exceeds _CHUNK_BYTES; the marked keys, read in order, are
+    the sorted elements.
     """
     check_side(side)
     if g.m > PAIRS_MODULUS_LIMIT:
@@ -185,34 +239,30 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     sm = shift_modulus(m)
     sign = -1 if side == "left" else 1
     # keys are written inline as scale * sm + shift_class (CanonicalMap.key)
-    gens: set[int] = set()
+    seen = np.zeros(m * sm, dtype=bool)
+    r = np.arange(m, dtype=np.int64)
     for s in (0, 1):
-        scale = sign * beta(s) % m
-        for r in range(m):
-            gens.add(scale * sm + sign * r * alpha(s) % sm)
-    scales = {k // sm for k in gens}
-    known = set(gens)
-    stack = list(gens)
-    while stack:
-        a1, b1 = divmod(stack.pop(), sm)
-        for a2 in scales:
-            cand = a1 * a2 % m * sm + b1 * a2 % sm
-            if cand not in known:
-                known.add(cand)
-                stack.append(cand)
-    return SemigroupSummary(m, side, len(gens), PAIRS_ORACLE, frozenset(known))
+        seen[sign * beta(s) % m * sm + sign * r * alpha(s) % sm] = True
+    gens = np.flatnonzero(seen)
+    gen_scales, gen_shifts = np.divmod(gens, sm)
+    scales = np.array(_scale_closure(gen_scales.tolist(), m), dtype=np.int64)
+    step = max(1, _CHUNK_BYTES // (8 * len(gens)))  # scales whose int64 keys fit
+    for lo in range(0, len(scales), step):
+        w = scales[lo : lo + step, None]
+        seen[gen_scales * w % m * sm + gen_shifts * w % sm] = True
+    elements = np.flatnonzero(seen).astype(np.int64, copy=False)
+    return SemigroupSummary(m, side, len(gens), PAIRS_ORACLE, elements)
 
 
 def raw_tables(summary: SemigroupSummary) -> tuple[tuple[int, ...], ...]:
-    """Decode a raw summary's element set into image tables, sorted."""
+    """Decode a raw summary's elements into image tables, sorted."""
     if summary.oracle != RAW_ORACLE:
         raise ParameterError("only raw-table summaries hold image tables")
-    blobs = summary.element_set
-    return tuple(sorted(tuple(np.frombuffer(b, dtype=np.int16).tolist()) for b in blobs))
+    return tuple(sorted(tuple(t) for t in summary.elements.tolist()))
 
 
-def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozenset[int]:
-    """Element set as CanonicalMap keys, decoding raw tables when needed.
+def _sorted_keys(summary: SemigroupSummary, g: GroupParams) -> np.ndarray:
+    """The elements as sorted CanonicalMap keys, decoding raw tables when needed.
 
     All raw tables are decoded at once from the images of a and b alone,
     then the full tables of the decoded pairs are recomputed and compared
@@ -222,11 +272,11 @@ def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozens
     if summary.m != g.m:
         raise ParameterError("summary modulus does not match group modulus")
     if summary.oracle == PAIRS_ORACLE:
-        return summary.element_set
+        return summary.elements
     m = g.m
     sm = shift_modulus(m)
     stage = f"m={m} side={summary.side} stage=canonicalized_elements"
-    tables = np.frombuffer(b"".join(summary.element_set), dtype=np.int16).reshape(-1, 2 * m)
+    tables = summary.elements
     scales = tables[:, 1].astype(np.int64)
     doubled_shifts = tables[:, m].astype(np.int64)
     if m % 2:
@@ -251,7 +301,13 @@ def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozens
                 f"{stage}: raw table {tables[t].tolist()} is outside the map family;"
                 f" its decoded map {decoded} has table {list(function_table(decoded.as_map(), g))}"
             )
-    return frozenset((scales * sm + shifts).tolist())
+    return np.sort(scales * sm + shifts)
+
+
+def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> frozenset[int]:
+    """Element set as CanonicalMap keys, decoding raw tables when needed
+    (checked entrywise against the map family, see _sorted_keys)."""
+    return frozenset(_sorted_keys(summary, g).tolist())
 
 
 def container_powers_cover_closure(g: GroupParams, side: str) -> bool:
@@ -270,21 +326,24 @@ def container_powers_cover_closure(g: GroupParams, side: str) -> bool:
         seen.add(power)
         union |= container_members(power)
         power = container_product(power, base)
-    return {e.key for e in union} == close_pairs(side, g).element_set
+    return np.array_equal(sorted(e.key for e in union), close_pairs(side, g).elements)
 
 
 def verify_iso_map(g: GroupParams, image_rule: Callable[[int, int], tuple[int, int]]) -> bool:
     """Whether the parameter rule is an isomorphism from the right onto the
     left semigroup: a bijection that preserves every product."""
     sm = shift_modulus(g.m)
-    source = sorted(close_pairs("right", g).element_set)
-    target = sorted(close_pairs("left", g).element_set)
+    source = close_pairs("right", g).elements
+    target = close_pairs("left", g).elements
     _check_iso_size(max(len(source), len(target)))
-    position = {k: i for i, k in enumerate(target)}
-    images = [CanonicalMap(*image_rule(*divmod(k, sm)), g.m).key for k in source]
-    perm = np.asarray([position.get(k, -1) for k in images], dtype=np.int32)
-    if len(source) != len(target) or (perm < 0).any() or np.unique(perm).size != perm.size:
+    images = np.array(
+        [CanonicalMap(*image_rule(*divmod(k, sm)), g.m).key for k in source.tolist()],
+        dtype=np.int64,
+    )
+    # a bijection onto the target exactly when the sorted images are the target
+    if not np.array_equal(np.sort(images), target):
         return False
+    perm = np.searchsorted(target, images).astype(np.int32)
     return _preserves_products(
         perm, _scale_table(source, g.m, "right"), _scale_table(target, g.m, "left")
     )
@@ -602,15 +661,16 @@ def search_isomorphism(
     """
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
-    e1 = sorted(canonicalized_elements(s1, GroupParams.from_modulus(s1.m)))
-    e2 = sorted(canonicalized_elements(s2, GroupParams.from_modulus(s2.m)))
+    e1 = _sorted_keys(s1, GroupParams.from_modulus(s1.m))
+    e2 = _sorted_keys(s2, GroupParams.from_modulus(s2.m))
     n = len(e1)
 
     def witness(image) -> dict[CanonicalMap, CanonicalMap]:
         decode = CanonicalMap.from_key
-        return {decode(e1[x], s1.m): decode(e2[w], s2.m) for x, w in enumerate(image)}
+        k1, k2 = e1.tolist(), e2.tolist()
+        return {decode(k1[x], s1.m): decode(k2[w], s2.m) for x, w in enumerate(image)}
 
-    if s1.m == s2.m and e1 == e2:
+    if s1.m == s2.m and np.array_equal(e1, e2):
         # same element set under the same composition rule: identity works
         return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
     _check_iso_size(n)
@@ -624,10 +684,11 @@ def search_isomorphism(
     candidates: dict[int, list[int]] = {}
     for gi in gens:
         # refinement returned, so every colour of s1 also occurs in s2
-        cands = np.flatnonzero(col2 == col1[gi]).tolist()
+        cands = np.flatnonzero(col2 == col1[gi])
         if s1.m == s2.m:
-            cands.sort(key=lambda w: (e2[w] != e1[gi], w))
-        candidates[gi] = cands
+            # the same key first, then the rest in index order
+            cands = cands[np.argsort(e2[cands] != e1[gi], kind="stable")]
+        candidates[gi] = cands.tolist()
     # assign the most constraining generators first: a large left-ideal means
     # many forced images per assignment, so conflicts surface early
     t1, sig1 = mult1

@@ -44,7 +44,7 @@ from commsem import (
     rho_map,
 )
 
-from commsem.mumaps import shift_modulus
+from commsem.mumaps import alpha, beta, shift_modulus
 from perm_oracle import perm_commutator, perm_compose, perm_inverse, perm_of
 
 
@@ -496,6 +496,32 @@ def scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, w) -> boo
         phi[z] = -1
         domain.pop()
     return False
+
+
+def reference_close_pairs(side: str, g: GroupParams) -> tuple[int, frozenset]:
+    """Reference for closure.close_pairs: the scalar worklist the pair oracle
+    once ran, extending every known key by every distinct generator scale
+    until nothing new appears.  Returns (generator count, element keys)."""
+    m = g.m
+    sm = shift_modulus(m)
+    sign = -1 if side == "left" else 1
+    # keys are written inline as scale * sm + shift_class (CanonicalMap.key)
+    gens: set[int] = set()
+    for s in (0, 1):
+        scale = sign * beta(s) % m
+        for r in range(m):
+            gens.add(scale * sm + sign * r * alpha(s) % sm)
+    scales = {k // sm for k in gens}
+    known = set(gens)
+    stack = list(gens)
+    while stack:
+        a1, b1 = divmod(stack.pop(), sm)
+        for a2 in scales:
+            cand = a1 * a2 % m * sm + b1 * a2 % sm
+            if cand not in known:
+                known.add(cand)
+                stack.append(cand)
+    return len(gens), frozenset(known)
 
 
 def reference_mult_table(keys, m: int) -> np.ndarray:

@@ -6,7 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 from commsem import cli, closure
 from commsem.closure import (
@@ -160,9 +163,22 @@ def test_default_verify_level_drops_above_limit(capsys):
     assert rows[513]["verified"] == "formula_only"
 
 
+def test_pair_row_memory():
+    # the pair path of a table row holds its elements as key arrays; a
+    # Python set of the 259081 keys of either side at m = 509 is larger than that
+    tracemalloc.start()
+    try:
+        row = cli.build_row(509, "pairs")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert row.verified == "pairs_verified"
+    assert peak < 12 * 2**20
+
+
 def test_verification_failure_exit_code(capsys, monkeypatch):
     def broken_close_pairs(side, g):
-        return SemigroupSummary(g.m, side, 1, "mu_pairs", frozenset({0}))
+        return SemigroupSummary(g.m, side, 1, "mu_pairs", np.array([0]))
 
     monkeypatch.setattr(cli, "close_pairs", broken_close_pairs)
     code, out, err = run_cli(capsys, "table", "--from", "8", "--to", "8", "--verify", "pairs")

@@ -29,6 +29,7 @@ from commsem import closure
 from support import (
     check_oracle_agreement,
     check_pairs_match_formula,
+    reference_close_pairs,
     reference_mult_table,
     reference_signatures,
     reference_stamp,
@@ -134,7 +135,7 @@ def test_canonicalized_elements_names_corrupted_tables():
     off_family = table.copy()
     off_family[3] = (off_family[3] + 1) % 8
     for corrupt, reason in ((odd_shift, "odd doubled shift 3"), (off_family, "outside the map family")):
-        summary = SemigroupSummary(8, "right", 1, "raw_tables", frozenset({corrupt.tobytes()}))
+        summary = SemigroupSummary(8, "right", 1, "raw_tables", corrupt[None])
         with pytest.raises(ConsistencyError) as excinfo:
             canonicalized_elements(summary, g8)
         message = str(excinfo.value)
@@ -147,6 +148,43 @@ def test_canonicalized_elements_names_corrupted_tables():
 def test_raw_bound():
     with pytest.raises(ResourceLimitError):
         close_raw("right", GroupParams.from_modulus(129))
+
+
+@pytest.mark.parametrize(
+    "moduli", [range(3, 257), [257, 509, 510, 511, 512]], ids=["3-256", "257-512"]
+)
+def test_close_pairs_matches_scalar_worklist(moduli):
+    for m in moduli:
+        g = GroupParams.from_modulus(m)
+        for side in ("right", "left"):
+            summary = close_pairs(side, g)
+            generator_count, keys = reference_close_pairs(side, g)
+            elements = summary.elements
+            assert elements.dtype == np.int64 and not elements.flags.writeable
+            # equal to the sorted keys, so sorted and free of repeats
+            assert elements.tolist() == sorted(keys), (m, side)
+            assert summary.generator_count == generator_count, (m, side)
+
+
+def test_close_pairs_ignores_formula_routes(monkeypatch):
+    # the pair oracle checks the order formulas, so it may use none of them;
+    # check_side is input validation and stays live
+    def refuse(*args, **kwargs):
+        raise AssertionError("close_pairs touched a formula route")
+
+    routes = {"commsem.containers", "commsem.orders", "commsem.modular"}
+    patched = {
+        name
+        for name, value in vars(closure).items()
+        if getattr(value, "__module__", None) in routes and name != "check_side"
+    }
+    assert patched >= {"Container", "base_scale", "container_members", "container_product"}
+    for name in patched:
+        monkeypatch.setattr(closure, name, refuse)
+    for m in (3, 8, 15, 64, 509):
+        g = GroupParams.from_modulus(m)
+        for side in ("right", "left"):
+            assert close_pairs(side, g).size == order_central_series(side, g)
 
 
 def test_pairs_reference_sizes():
