@@ -193,7 +193,8 @@ def _cmd_table(args) -> int:
         build_row(m, _row_verify_level(m, args.verify))
         for m in range(args.start_m, args.end_m + 1)
     ]
-    label = f"table --from {args.start_m} --to {args.end_m} --format {args.format}"
+    verify = "" if args.verify is None else f" --verify {args.verify}"
+    label = f"table --from {args.start_m} --to {args.end_m}{verify} --format {args.format}"
     sys.stdout.write(_emit_rows(rows, args.format, args.meta, label))
     return 0
 

@@ -371,8 +371,9 @@ def _check_iso_size(n: int) -> None:
         )
 
 
-def _scale_table(keys: list[int], m: int, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """The multiplication of CanonicalMap keys, factored through scales.
+def _scale_table(keys: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication of the sorted int64 CanonicalMap keys, factored
+    through scales.
 
     Composition multiplies both parameters of the left factor by the scale of
     the right factor, so x * y depends only on x and the scale of y.  Returns
@@ -545,11 +546,10 @@ def _greedy_generators(mult) -> list[int]:
     reducible[table.ravel()] = True
     inside = np.zeros(n, dtype=bool)
     # members[:size] is the generated subsemigroup so far, in absorption order
-    members, size = np.empty(n, dtype=np.int32), 0
+    members = np.empty(n, dtype=np.int32)
 
-    def absorb(new: np.ndarray) -> None:
+    def absorb(new: np.ndarray, size: int) -> int:
         # semi-naive rounds: only products with a new element can be new
-        nonlocal size
         while len(new):
             inside[new] = True
             lo, size = size, size + len(new)
@@ -557,15 +557,16 @@ def _greedy_generators(mult) -> list[int]:
             new = np.empty(0, dtype=np.int32)
             for z in _frontier_products(mult, members[lo:size], members[:size]):
                 new = np.union1d(new, z[~inside[z]])
+        return size
 
     gens = np.flatnonzero(~reducible).tolist()
-    absorb(np.asarray(gens, dtype=np.int32))
+    size = absorb(np.asarray(gens, dtype=np.int32), 0)
     for x in range(n):
         if size == n:
             break
         if not inside[x]:
             gens.append(x)
-            absorb(np.array([x], dtype=np.int32))
+            size = absorb(np.array([x], dtype=np.int32), size)
     return gens
 
 
@@ -654,10 +655,14 @@ def search_isomorphism(
     forced images through both tables in bounded blocks and refuse any
     conflict in whole arrays.  That closure is the unique homomorphic
     extension of the chosen images, so neither it nor the node count depends
-    on the order in which products are examined.  A returned witness has
-    been verified on all n^2 element pairs; a not_isomorphic verdict means
-    the colour-pruned search space was exhausted, which is complete because
-    colours are isomorphism-invariant.
+    on the order in which products are examined.  The backtracking runs
+    over an explicit stack with one entry per open choice (position in the
+    generator order, untried images, domain size before the choice), and
+    generators whose image is already forced take no entry, so its depth is
+    bounded by the generating set, not by Python's recursion limit.  A
+    returned witness has been verified on all n^2 element pairs; a
+    not_isomorphic verdict means the colour-pruned search space was
+    exhausted, which is complete because colours are isomorphism-invariant.
     """
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
@@ -698,35 +703,28 @@ def search_isomorphism(
     partial = _PartialIso(mult1, mult2, col1, col2)
     phi, used_by = partial.phi, partial.used_by
     nodes = 0
-    budget_hit = False
-
-    def dfs(k: int) -> bool:
-        nonlocal nodes, budget_hit
-        if k == len(order):
-            return partial.size == n and _preserves_products(phi, mult1, mult2)
-        x = order[k]
-        if phi[x] >= 0:
-            return dfs(k + 1)
-        for w in candidates[x]:
-            if used_by[w] >= 0:
+    stack: list[tuple[int, Iterator[int], int]] = []
+    k = 0
+    while True:
+        # generators whose image is already forced take no stack entry
+        while k < len(order) and phi[order[k]] >= 0:
+            k += 1
+        if k < len(order):
+            stack.append((k, iter(candidates[order[k]]), partial.size))
+        elif partial.size == n and _preserves_products(phi, mult1, mult2):
+            return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi.tolist()), nodes)
+        # advance the deepest open choice to its next unused image
+        while stack:
+            k, untried, mark = stack[-1]
+            partial.undo(mark)
+            w = next((w for w in untried if used_by[w] < 0), None)
+            if w is None:
+                stack.pop()
                 continue
             nodes += 1
             if nodes > budget:
-                budget_hit = True
-                return False
-            mark = partial.size
-            if partial.extend(x, w):
-                if dfs(k + 1):
-                    return True
-                partial.undo(mark)
-                if budget_hit:
-                    return False
-        return False
-
-    found = dfs(0)
-    del dfs  # dfs holds itself in a closure cell; the cycle would keep the tables alive
-    if found:
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi.tolist()), nodes)
-    if budget_hit:
-        return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)
-    return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, nodes)
+                return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)
+            if partial.extend(order[k], w):
+                break
+        if not stack:
+            return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, nodes)

@@ -43,8 +43,22 @@ from commsem import (
     predicted_profile_holds,
     rho_map,
 )
+from commsem.closure import (
+    DEFAULT_SEARCH_BUDGET,
+    IsoSearchResult,
+    IsoStatus,
+    SemigroupSummary,
+    _check_iso_size,
+    _distinct_counts,
+    _greedy_generators,
+    _PartialIso,
+    _preserves_products,
+    _refine_colors,
+    _scale_table,
+    _sorted_keys,
+)
 
-from commsem.mumaps import alpha, beta, shift_modulus
+from commsem.mumaps import CanonicalMap, alpha, beta, shift_modulus
 from perm_oracle import perm_commutator, perm_compose, perm_inverse, perm_of
 
 
@@ -576,3 +590,83 @@ def reference_stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarra
     combo = (col * width + prod) * width + prod.T
     combo.sort(axis=1)
     return np.column_stack([col, combo])
+
+
+def recursive_search_isomorphism(
+    s1: SemigroupSummary, s2: SemigroupSummary, budget: int = DEFAULT_SEARCH_BUDGET
+) -> IsoSearchResult:
+    """Reference for closure.search_isomorphism: the search as it once ran,
+    backtracking through a self-recursive closure, one Python frame per
+    generator, so a generating set longer than the recursion limit raised
+    RecursionError.  Same candidates, order and budget accounting."""
+    if s1.size != s2.size:
+        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+    e1 = _sorted_keys(s1, GroupParams.from_modulus(s1.m))
+    e2 = _sorted_keys(s2, GroupParams.from_modulus(s2.m))
+    n = len(e1)
+
+    def witness(image) -> dict[CanonicalMap, CanonicalMap]:
+        decode = CanonicalMap.from_key
+        k1, k2 = e1.tolist(), e2.tolist()
+        return {decode(k1[x], s1.m): decode(k2[w], s2.m) for x, w in enumerate(image)}
+
+    if s1.m == s2.m and np.array_equal(e1, e2):
+        # same element set under the same composition rule: identity works
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
+    _check_iso_size(n)
+    mult1 = _scale_table(e1, s1.m, s1.side)
+    mult2 = _scale_table(e2, s2.m, s2.side)
+    colors = _refine_colors(mult1, mult2)
+    if colors is None:
+        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+    col1, col2 = colors
+    gens = _greedy_generators(mult1)
+    candidates: dict[int, list[int]] = {}
+    for gi in gens:
+        # refinement returned, so every colour of s1 also occurs in s2
+        cands = np.flatnonzero(col2 == col1[gi])
+        if s1.m == s2.m:
+            # the same key first, then the rest in index order
+            cands = cands[np.argsort(e2[cands] != e1[gi], kind="stable")]
+        candidates[gi] = cands.tolist()
+    # assign the most constraining generators first: a large left-ideal means
+    # many forced images per assignment, so conflicts surface early
+    t1, sig1 = mult1
+    column_span = _distinct_counts(t1, 0)[sig1].tolist()
+    order = sorted(gens, key=lambda gi: (-column_span[gi], len(candidates[gi]), gi))
+
+    partial = _PartialIso(mult1, mult2, col1, col2)
+    phi, used_by = partial.phi, partial.used_by
+    nodes = 0
+    budget_hit = False
+
+    def dfs(k: int) -> bool:
+        nonlocal nodes, budget_hit
+        if k == len(order):
+            return partial.size == n and _preserves_products(phi, mult1, mult2)
+        x = order[k]
+        if phi[x] >= 0:
+            return dfs(k + 1)
+        for w in candidates[x]:
+            if used_by[w] >= 0:
+                continue
+            nodes += 1
+            if nodes > budget:
+                budget_hit = True
+                return False
+            mark = partial.size
+            if partial.extend(x, w):
+                if dfs(k + 1):
+                    return True
+                partial.undo(mark)
+                if budget_hit:
+                    return False
+        return False
+
+    found = dfs(0)
+    del dfs  # dfs holds itself in a closure cell; the cycle would keep the tables alive
+    if found:
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi.tolist()), nodes)
+    if budget_hit:
+        return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)
+    return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, nodes)

@@ -136,6 +136,11 @@ def test_table_deterministic_and_meta(capsys):
                               "--format", "json", "--meta")
     payload = json.loads(json_meta)
     assert set(payload) == {"meta", "rows"} and len(payload["rows"]) == 2
+    # the command label reproduces the output, --verify included
+    _, raw_meta, _ = run_cli(capsys, "table", "--from", "3", "--to", "3",
+                             "--verify", "raw", "--meta")
+    assert raw_meta.splitlines()[1] == "# command: table --from 3 --to 3 --verify raw --format text"
+    assert "raw_verified" in raw_meta
 
 
 def test_table_matches_reference(capsys):
@@ -255,6 +260,13 @@ def test_iso_command(capsys):
     assert code == 0
     assert out == (
         "P(D_100) vs L(D_100): isomorphic_with_witness (criterion says isomorphic, 145 nodes)\n"
+    )
+    # a generating set of more elements than Python's default recursion
+    # limit; the backtracking holds its choices on an explicit stack
+    code, out, err = run_cli(capsys, "iso", "--m", "2048")
+    assert (code, err) == (0, "")
+    assert out == (
+        "P(D_2048) vs L(D_2048): isomorphic_with_witness (criterion says isomorphic, 1536 nodes)\n"
     )
     # the iso_refute anchors (m = 95, 3515 elements), all decided by the
     # initial signatures

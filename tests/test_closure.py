@@ -26,12 +26,14 @@ from commsem import (
     verify_iso_map,
 )
 from commsem import closure
+import support
 from support import (
     check_oracle_agreement,
     check_pairs_match_formula,
     reference_close_pairs,
     reference_mult_table,
     reference_signatures,
+    recursive_search_isomorphism,
     reference_stamp,
     scalar_extend,
     scalar_monogenic_profile,
@@ -291,6 +293,45 @@ def test_search_size_mismatch_and_budget():
     res = search_isomorphism(close_pairs("right", g20), close_pairs("left", g20), budget=1)
     assert res.status is IsoStatus.BUDGET_EXHAUSTED
     assert res.witness is None
+
+
+# P vs L at one modulus, and 2p vs p on both sides
+TRAVERSAL_CASES = [(m, "right", m, "left") for m in (8, 20, 52, 85, 100)] + [
+    (2 * p, side, p, side) for p in (5, 13, 37) for side in ("right", "left")
+]
+
+
+@pytest.mark.parametrize("m1,side1,m2,side2", TRAVERSAL_CASES)
+def test_stack_search_matches_recursive_reference(m1, side1, m2, side2):
+    s1 = close_pairs(side1, GroupParams.from_modulus(m1))
+    s2 = close_pairs(side2, GroupParams.from_modulus(m2))
+    for budget in (0, 1, 10, 50, closure.DEFAULT_SEARCH_BUDGET):
+        got = search_isomorphism(s1, s2, budget=budget)
+        want = recursive_search_isomorphism(s1, s2, budget=budget)
+        assert (got.status, got.nodes, got.witness) == (want.status, want.nodes, want.witness)
+
+
+def test_stack_search_backtracks_like_recursive_reference(monkeypatch):
+    # the colour refinement leaves no real case that backtracks past a
+    # successful extension; with one colour for every element the search
+    # must, and a single colour class is still isomorphism-invariant
+    def one_colour(mult1, mult2):
+        return np.zeros(len(mult1[0]), dtype=np.int64), np.zeros(len(mult2[0]), dtype=np.int64)
+
+    monkeypatch.setattr(closure, "_refine_colors", one_colour)
+    monkeypatch.setattr(support, "_refine_colors", one_colour)
+    # exhausted (578 nodes), exhausted budgets mid-backtrack, a late witness
+    cases = [(9, "right", 24, "left", (closure.DEFAULT_SEARCH_BUDGET,))]
+    cases += [(15, "right", 15, "left", (0, 1, 10, 50, 1000))]
+    cases += [(10, "left", 5, "right", (closure.DEFAULT_SEARCH_BUDGET,))]
+    for m1, side1, m2, side2, budgets in cases:
+        s1 = close_pairs(side1, GroupParams.from_modulus(m1))
+        s2 = close_pairs(side2, GroupParams.from_modulus(m2))
+        for budget in budgets:
+            got = search_isomorphism(s1, s2, budget=budget)
+            want = recursive_search_isomorphism(s1, s2, budget=budget)
+            assert (got.status, got.nodes, got.witness) == (want.status, want.nodes, want.witness)
+            assert got.nodes > 0
 
 
 def test_distinct_counts_match_sets():
