@@ -7,9 +7,14 @@ wherever both run, which is the central correctness check of the package.
 
 close_raw runs a worklist that composes known tables with generators only:
 every product of generators associates left to right, so extending by one
-right factor at a time reaches the whole generated subsemigroup.  It runs
-in frontier rounds of whole numpy arrays, in chunks of bounded size, and
-deduplicates exactly: a fingerprint only proposes which known table a
+right factor at a time reaches the whole generated subsemigroup.  Every
+product of two or more generators ends in a generator, so its image lies in
+U, the union of the generators' images, and "t then g" reads g on U only:
+generators that agree on U give equal products with every known table, and
+one right factor per class of them suffices (a fact about any transformation
+semigroup, in the spirit of Froidure and Pin, checked on the literal tables).
+It runs in frontier rounds of whole numpy arrays, in chunks of bounded size,
+and deduplicates exactly: a fingerprint only proposes which known table a
 product equals, and the two are then compared in full.
 
 close_pairs needs no worklist over maps.  Composition multiplies both
@@ -134,45 +139,67 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     """Close the commutation maps under composition of raw function tables.
 
     The generators are the distinct commutator tables, looked up in the
-    group's Cayley table.  Each frontier round composes every table found in
-    the round before with every generator, a bounded chunk of frontier tables
-    at a time.  Dedup is
-    by table content and exact: a linear fingerprint proposes the one known
-    table a product may equal, every product is compared with that table in
-    full, and two distinct tables with one fingerprint raise ConsistencyError
-    rather than merge.  Nothing here knows about map parameters.
+    group's Cayley table; the closure is every product of one or more of
+    them (_close_tables).  Each stored table is a generator or ends in one,
+    so its image lies in U, the union of the generators' images, and the
+    rounds compose it with one generator per class of generators that agree
+    on U.  Nothing here knows about map parameters.
     """
     check_side(side)
     if g.m > RAW_MODULUS_LIMIT:
         raise ResourceLimitError(f"raw closure limited to m <= {RAW_MODULUS_LIMIT}")
     collision = f"m={g.m} side={side} stage=close_raw: distinct tables share a fingerprint"
-    gens = np.unique(_commutator_tables(side, g).astype(np.uint8), axis=0)
+    # return_index keeps np.unique on its sorting path, which does not import numpy.ma
+    gens = np.unique(_commutator_tables(side, g).astype(np.uint8), axis=0, return_index=True)[0]
+    elements = _close_tables(gens, collision).astype(np.int16)
+    return SemigroupSummary(g.m, side, len(gens), RAW_ORACLE, elements)
+
+
+def _close_tables(gens: np.ndarray, collision: str) -> np.ndarray:
+    """Every product of one or more of the distinct uint8 tables gens, one
+    table per row, in no particular order.
+
+    The generators seed the store.  Every table stored, a generator or a
+    product ending in one, maps into U, the union of the generators' images,
+    and "t then g" reads g on U only, so each frontier round composes every
+    table found in the round before with one representative per class of
+    gens[:, U], a bounded chunk of frontier tables at a time.  Dedup is by
+    table content and exact: a linear fingerprint proposes the one known
+    table a product may equal, every product is compared with that table in
+    full, and two distinct tables with one fingerprint raise
+    ConsistencyError(collision) rather than merge.
+    """
     k, n = gens.shape
     weights = _FINGERPRINT_WEIGHTS[:n]
-    images = np.ascontiguousarray(gens.T)  # images[y, j] = gens[j][y]
+    u = np.flatnonzero(np.bincount(gens.ravel(), minlength=n))
+    reps = gens[np.unique(gens[:, u], axis=0, return_index=True)[1]]
+    r = len(reps)
+    images = np.ascontiguousarray(reps.T)  # images[y, j] = reps[j][y]
     images_f = images.astype(np.float64)
     # store[:count] holds every table found so far; known_fp is sorted, ends
-    # in an infinite sentinel, and known_fp[r] belongs to store row known_row[r]
-    store, count = np.empty((k, n), dtype=np.uint8), 0
-    known_fp, known_row = np.array([np.inf]), np.array([-1])
-    step = max(1, _CHUNK_BYTES // (k * n))  # frontier tables whose uint8 products fit
+    # in an infinite sentinel, and known_fp[i] belongs to store row known_row[i]
+    store, count = gens.copy(), k
+    gen_fp = gens.astype(np.float64) @ weights
+    order = np.argsort(gen_fp)
+    known_fp, known_row = np.append(gen_fp[order], np.inf), np.append(order, -1)
+    if (known_fp[1:] == known_fp[:-1]).any():
+        raise ConsistencyError(collision)
+    step = max(1, _CHUNK_BYTES // (r * n))  # frontier tables whose uint8 products fit
     # the chunk-sized arrays are allocated once: megabyte temporaries freed
     # after every chunk can go back to the operating system and fault in anew
-    products_buf = np.empty((step, n, k), dtype=np.uint8)
-    matched_buf = np.empty((step * k, n), dtype=np.uint8)
-    equal_buf = np.empty((step, n, k), dtype=bool)
-    # round 0 composes the identity with every generator, which stores the
-    # generators themselves
-    frontier = np.arange(n)[None]
+    products_buf = np.empty((step, n, r), dtype=np.uint8)
+    matched_buf = np.empty((step * r, n), dtype=np.uint8)
+    equal_buf = np.empty((step, n, r), dtype=bool)
+    frontier = store
     while len(frontier):
         round_start = count
         for lo in range(0, len(frontier), step):
             chunk = frontier[lo : lo + step].astype(np.intp)
             f = len(chunk)
-            # products[i, x, j] = (chunk[i] then gens[j])(x) = gens[j][chunk[i][x]];
+            # products[i, x, j] = (chunk[i] then reps[j])(x) = reps[j][chunk[i][x]];
             # the indices are in range, and "clip" lets take write out unbuffered
             products = np.take(images, chunk, axis=0, out=products_buf[:f], mode="clip")
-            # its fingerprint is sum_y spread[i, y] * gens[j][y], spread[i, y]
+            # its fingerprint is sum_y spread[i, y] * reps[j][y], spread[i, y]
             # being the total weight of the x with chunk[i][x] = y
             spread = np.bincount(
                 (np.arange(f)[:, None] * n + chunk).ravel(),
@@ -189,19 +216,19 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
                     grown = np.empty((2 * (count + len(new)), n), dtype=np.uint8)
                     grown[:count] = store[:count]
                     store = grown
-                i, j = np.divmod(first[new], k)
+                i, j = np.divmod(first[new], r)
                 store[count : count + len(new)] = products[i, :, j]
                 match[new] = np.arange(count, count + len(new))
                 known_fp = np.insert(known_fp, pos[new], uniq[new])
                 known_row = np.insert(known_row, pos[new], match[new])
                 count += len(new)
             # the fingerprint only proposed the match; the tables must agree
-            matched = np.take(store, match[which], axis=0, out=matched_buf[: f * k], mode="clip")
-            equal = np.equal(products, matched.reshape(f, k, n).transpose(0, 2, 1), out=equal_buf[:f])
+            matched = np.take(store, match[which], axis=0, out=matched_buf[: f * r], mode="clip")
+            equal = np.equal(products, matched.reshape(f, r, n).transpose(0, 2, 1), out=equal_buf[:f])
             if not equal.all():
                 raise ConsistencyError(collision)
         frontier = store[round_start:count]
-    return SemigroupSummary(g.m, side, k, RAW_ORACLE, store[:count].astype(np.int16))
+    return store[:count]
 
 
 def _scale_closure(scales: Iterable[int], m: int) -> list[int]:

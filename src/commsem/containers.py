@@ -137,21 +137,27 @@ class Decomposition:
         return frozenset(out)
 
 
-def decompose(side: str, g: GroupParams) -> Decomposition:
-    """Cover the chosen commutation semigroup by disjoint containers.
+def cover_power_count(side: str, g: GroupParams) -> int:
+    """Number t of power containers in the side's cover (see decompose).
 
-    The number of power containers follows the orbit profile of the base
-    scale x (-2 right, 2 left): ord(x) when m is odd, ell + period(x) - 1
-    when m is even with odd part > 1, and ell - 1 when m is a power of two.
+    It follows the orbit profile of the base scale x (-2 right, 2 left):
+    ord(x) when m is odd, ell + period(x) - 1 when m is even with odd part
+    > 1, and ell - 1 when m is a power of two.
     """
-    base = base_scale(side) % g.m
-    prof = orbit_profile(base, g.m)
+    prof = orbit_profile(base_scale(side), g.m)
     if g.ell == 0:
-        t = prof.order
-    elif g.n > 1:
-        t = g.ell + prof.period - 1
-    else:
-        t = g.ell - 1
+        return prof.order
+    if g.n > 1:
+        return g.ell + prof.period - 1
+    return g.ell - 1
+
+
+def decompose(side: str, g: GroupParams) -> Decomposition:
+    """Cover the chosen commutation semigroup by disjoint containers: the
+    zero-scale container and cover_power_count(side, g) powers of the base
+    container."""
+    base = base_scale(side) % g.m
+    t = cover_power_count(side, g)
     parts = [Container.from_pair(0, 1, g)]
     scale_pow, shift_pow = base, 1
     for _ in range(t):

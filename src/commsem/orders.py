@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .central_series import center_order
-from .containers import SIDES, base_scale, check_side, decompose
+from .containers import SIDES, base_scale, check_side, cover_power_count
 from .dihedral import GroupParams
 from .errors import ConsistencyError, ParameterError
 from .modular import (
@@ -126,7 +126,7 @@ def order_report(g: GroupParams) -> OrderReport:
         if a > g.m * g.m:
             raise ConsistencyError(f"order {a} exceeds the m**2 bound for m={g.m}")
         t = series_length(side, g)
-        parts = len(decompose(side, g).parts)
+        parts = 1 + cover_power_count(side, g)
         if parts != t:
             raise ConsistencyError(
                 f"container cover of the {side} side of D_{g.m} has {parts} parts, expected {t}"

@@ -16,6 +16,7 @@ import numpy as np
 
 from commsem import (
     AffineMap,
+    ConsistencyError,
     Container,
     GroupParams,
     canonicalized_elements,
@@ -43,12 +44,15 @@ from commsem import (
     predicted_profile_holds,
     rho_map,
 )
+from commsem import closure
 from commsem.closure import (
     DEFAULT_SEARCH_BUDGET,
+    RAW_ORACLE,
     IsoSearchResult,
     IsoStatus,
     SemigroupSummary,
     _check_iso_size,
+    _commutator_tables,
     _distinct_counts,
     _greedy_generators,
     _PartialIso,
@@ -536,6 +540,75 @@ def reference_close_pairs(side: str, g: GroupParams) -> tuple[int, frozenset]:
                 known.add(cand)
                 stack.append(cand)
     return len(gens), frozenset(known)
+
+
+def reference_close_tables(gens) -> frozenset[tuple[int, ...]]:
+    """Reference for closure._close_tables: every product of one or more of
+    the tables gens, by a scalar worklist that composes each known table with
+    every generator; (t then g)(x) = g[t[x]]."""
+    gens = [tuple(t) for t in np.asarray(gens).tolist()]
+    known = set(gens)
+    stack = list(known)
+    while stack:
+        t = stack.pop()
+        for gen in gens:
+            product = tuple(gen[x] for x in t)
+            if product not in known:
+                known.add(product)
+                stack.append(product)
+    return frozenset(known)
+
+
+def reference_close_raw(side: str, g: GroupParams) -> SemigroupSummary:
+    """Reference for closure.close_raw: the closure as it once ran, composing
+    every frontier table with every distinct generator from the identity on,
+    each product confirmed against the table its fingerprint proposes."""
+    collision = f"m={g.m} side={side} stage=close_raw: distinct tables share a fingerprint"
+    gens = np.unique(_commutator_tables(side, g).astype(np.uint8), axis=0)
+    k, n = gens.shape
+    weights = closure._FINGERPRINT_WEIGHTS[:n]
+    images = np.ascontiguousarray(gens.T)  # images[y, j] = gens[j][y]
+    images_f = images.astype(np.float64)
+    # store[:count] holds every table found so far; known_fp is sorted, ends
+    # in an infinite sentinel, and known_fp[r] belongs to store row known_row[r]
+    store, count = np.empty((k, n), dtype=np.uint8), 0
+    known_fp, known_row = np.array([np.inf]), np.array([-1])
+    step = max(1, closure._CHUNK_BYTES // (k * n))
+    # round 0 composes the identity with every generator, which stores the
+    # generators themselves
+    frontier = np.arange(n)[None]
+    while len(frontier):
+        round_start = count
+        for lo in range(0, len(frontier), step):
+            chunk = frontier[lo : lo + step].astype(np.intp)
+            f = len(chunk)
+            products = images[chunk]  # products[i, x, j] = gens[j][chunk[i][x]]
+            spread = np.bincount(
+                (np.arange(f)[:, None] * n + chunk).ravel(),
+                weights=np.tile(weights, f),
+                minlength=f * n,
+            )
+            product_fp = np.matmul(spread.reshape(f, 1, n), images_f).ravel()
+            uniq, first, which = np.unique(product_fp, return_index=True, return_inverse=True)
+            pos = np.searchsorted(known_fp, uniq)
+            match = known_row[pos]
+            new = np.flatnonzero(known_fp[pos] != uniq)
+            if len(new):
+                if count + len(new) > len(store):
+                    grown = np.empty((2 * (count + len(new)), n), dtype=np.uint8)
+                    grown[:count] = store[:count]
+                    store = grown
+                i, j = np.divmod(first[new], k)
+                store[count : count + len(new)] = products[i, :, j]
+                match[new] = np.arange(count, count + len(new))
+                known_fp = np.insert(known_fp, pos[new], uniq[new])
+                known_row = np.insert(known_row, pos[new], match[new])
+                count += len(new)
+            matched = store[match[which]].reshape(f, k, n)
+            if not np.array_equal(products, matched.transpose(0, 2, 1)):
+                raise ConsistencyError(collision)
+        frontier = store[round_start:count]
+    return SemigroupSummary(g.m, side, k, RAW_ORACLE, store[:count].astype(np.int16))
 
 
 def reference_mult_table(keys, m: int) -> np.ndarray:

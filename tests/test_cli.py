@@ -160,6 +160,27 @@ def test_table_raw_verification(capsys):
     assert all(r["verified"] == "raw_verified" for r in rows)
 
 
+def test_raw_verification_does_not_import_numpy_ma():
+    # np.unique without return_index or return_inverse imports numpy.ma,
+    # 10-15 ms of every process that reaches it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from commsem.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['table', '--from', '65', '--to', '65', '--verify', 'raw'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.stdout.split() == [b"0", b"False"], done.stderr
+
+
 def test_default_verify_level_drops_above_limit(capsys):
     code, out, _ = run_cli(capsys, "table", "--from", "512", "--to", "513", "--format", "csv")
     assert code == 0

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commsem import (
     CanonicalMap,
@@ -31,6 +33,8 @@ from support import (
     check_oracle_agreement,
     check_pairs_match_formula,
     reference_close_pairs,
+    reference_close_raw,
+    reference_close_tables,
     reference_mult_table,
     reference_signatures,
     recursive_search_isomorphism,
@@ -121,6 +125,58 @@ def test_close_raw_refuses_fingerprint_collisions(monkeypatch):
                 assert got.element_set == reference[m, side]
                 outcomes.add("exact")
     assert outcomes == {"raised", "exact"}
+
+
+@st.composite
+def transformation_sets(draw):
+    """Distinct transformations of at most 8 points: either one permutation
+    among them, so their images cover every point, or all mapping into a
+    drawn image set, some with twins that differ from them only off it.
+    Point and image counts stay small, and the scalar reference fast."""
+    if draw(st.booleans()):
+        image = list(range(draw(st.integers(1, 5))))
+        n = len(image)
+        tables = [draw(st.permutations(image))]
+    else:
+        n = draw(st.integers(1, 8))
+        image = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4)))
+        tables = []
+    point = st.sampled_from(image)
+    tables += draw(st.lists(st.lists(point, min_size=n, max_size=n), min_size=1, max_size=4))
+    outside = [x for x in range(n) if x not in image]
+    for table in list(tables):
+        if outside and draw(st.booleans()):
+            twin = list(table)
+            twin[draw(st.sampled_from(outside))] = draw(point)
+            tables.append(twin)
+    return np.unique(np.array(tables, dtype=np.uint8), axis=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(transformation_sets())
+def test_close_tables_matches_set_closure(gens):
+    got = closure._close_tables(gens, "collision")
+    assert got.dtype == np.uint8
+    closed = {tuple(t) for t in got.tolist()}
+    assert len(closed) == len(got)
+    assert closed == reference_close_tables(gens)
+
+
+def test_close_tables_refuses_generator_fingerprint_collisions(monkeypatch):
+    # constant weights: two distinct generators with one sum share a fingerprint
+    monkeypatch.setattr(closure, "_FINGERPRINT_WEIGHTS", np.ones(256))
+    gens = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+    with pytest.raises(ConsistencyError, match="collision"):
+        closure._close_tables(gens, "collision")
+
+
+def test_close_raw_matches_reference_closure():
+    for m in range(3, 49):
+        g = GroupParams.from_modulus(m)
+        for side in ("right", "left"):
+            got, want = close_raw(side, g), reference_close_raw(side, g)
+            assert got.generator_count == want.generator_count
+            assert got.element_set == want.element_set
 
 
 @pytest.mark.parametrize("m", [101, 123, 128])
