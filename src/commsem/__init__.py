@@ -12,22 +12,10 @@ from .central_series import (
     nth_center_bruteforce,
     series_profile,
 )
-from .closure import (
-    IsoSearchResult,
-    IsoStatus,
-    SemigroupSummary,
-    canonicalized_elements,
-    close_pairs,
-    close_raw,
-    container_powers_cover_closure,
-    raw_tables,
-    search_isomorphism,
-    verify_iso_map,
-)
+from .closure import canonicalized_elements, close_pairs
 from .containers import (
     Container,
     Decomposition,
-    SIDES,
     container_cardinality,
     container_members,
     container_product,
@@ -35,6 +23,7 @@ from .containers import (
     decompose,
 )
 from .dihedral import (
+    SIDES,
     DihedralElement,
     GroupParams,
     commutator,
@@ -46,6 +35,7 @@ from .dihedral import (
     multiply,
 )
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
+from .isomorphism import IsoSearchResult, IsoStatus, search_isomorphism, verify_iso_map
 from .modular import (
     OrbitProfile,
     cancel_congruence,
@@ -75,6 +65,7 @@ from .orders import (
     order_report,
     series_length,
 )
+from .raw import SemigroupSummary, close_raw
 
 __all__ = [
     "AffineMap",
@@ -103,7 +94,6 @@ __all__ = [
     "conjugate",
     "container_cardinality",
     "container_members",
-    "container_powers_cover_closure",
     "container_product",
     "containers_disjoint",
     "decompose",
@@ -130,7 +120,6 @@ __all__ = [
     "order_repeat_exponent",
     "order_report",
     "predicted_profile_holds",
-    "raw_tables",
     "rho_map",
     "search_isomorphism",
     "series_length",

@@ -15,22 +15,15 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
+
 from . import __version__
 from .central_series import series_profile
-from .closure import (
-    DEFAULT_SEARCH_BUDGET,
-    PAIRS_MODULUS_LIMIT,
-    RAW_MODULUS_LIMIT,
-    IsoStatus,
-    canonicalized_elements,
-    close_pairs,
-    close_raw,
-    search_isomorphism,
-    verify_iso_map,
-)
-from .containers import SIDES, decompose
-from .dihedral import GroupParams
+from .closure import PAIRS_MODULUS_LIMIT, canonicalized_elements, close_pairs
+from .containers import decompose
+from .dihedral import SIDES, GroupParams
 from .errors import ParameterError, ResourceLimitError
+from .isomorphism import DEFAULT_SEARCH_BUDGET, IsoStatus, search_isomorphism, verify_iso_map
 from .modular import is_odd_prime, orbit_profile
 from .orders import (
     doubling_preserves_orders,
@@ -38,6 +31,7 @@ from .orders import (
     lambda_orders_equal,
     order_report,
 )
+from .raw import RAW_MODULUS_LIMIT, close_raw
 
 DEFAULT_PAIRS_VERIFY_LIMIT = 512
 
@@ -56,9 +50,6 @@ class TableRow:
     per_plus2: int
     iso_gupta: bool
     verified: str
-
-    def csv_record(self) -> dict:
-        return asdict(self)
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TableRow))
@@ -106,7 +97,7 @@ def build_row(m: int, verify_level: str) -> TableRow:
                         f"m={m} side={side}: formula value {formula[side]} != "
                         f"raw-oracle value {raw.size}"
                     )
-                if canonicalized_elements(raw, g) != pairs[side].element_set:
+                if not np.array_equal(canonicalized_elements(raw, g), pairs[side].elements):
                     raise VerificationFailure(
                         f"m={m} side={side}: raw-oracle element set differs from pair oracle"
                     )
@@ -137,12 +128,12 @@ def _emit_rows(rows: list[TableRow], fmt: str, meta: bool, args_label: str) -> s
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in rows:
-            rec = row.csv_record()
+            rec = asdict(row)
             rec["iso_gupta"] = "true" if rec["iso_gupta"] else "false"
             writer.writerow(rec)
         return out.getvalue()
     if fmt == "json":
-        payload: object = [row.csv_record() for row in rows]
+        payload: object = [asdict(row) for row in rows]
         if meta:
             payload = {
                 "meta": {"generator": f"commsem {__version__}", "command": args_label},

@@ -15,18 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .central_series import center_order
-from .dihedral import GroupParams
+from .dihedral import GroupParams, check_side
 from .errors import ParameterError
 from .modular import orbit_profile
 from .mumaps import AffineMap, CanonicalMap
-
-SIDES = ("right", "left")
-
-
-def check_side(side: str) -> str:
-    if side not in SIDES:
-        raise ParameterError(f"side must be one of {SIDES}, got {side!r}")
-    return side
 
 
 def base_scale(side: str) -> int:

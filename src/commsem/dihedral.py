@@ -102,6 +102,15 @@ def commutator(x: DihedralElement, y: DihedralElement, g: GroupParams) -> Dihedr
     return multiply(multiply(inverse(x, g), inverse(y, g), g), multiply(x, y, g), g)
 
 
+SIDES = ("right", "left")
+
+
+def check_side(side: str) -> str:
+    if side not in SIDES:
+        raise ParameterError(f"side must be one of {SIDES}, got {side!r}")
+    return side
+
+
 def left_normed_commutator(
     x: DihedralElement, entries: Iterable[DihedralElement], g: GroupParams
 ) -> DihedralElement:

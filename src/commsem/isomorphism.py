@@ -1,0 +1,438 @@
+"""Isomorphism search between two closed commutation semigroups.
+
+search_isomorphism decides whether two small semigroups are isomorphic by
+backtracking over images of a greedy generating set, pruned by a joint
+colour refinement.  It reads every product from a scale-factored table: the
+composition rule makes x * y depend only on x and the scale of y, so the
+multiplication is an n x s int32 table T over the s distinct scales plus
+each element's scale column sig, with x * y = T[x, sig[y]] (_scale_table).
+The initial colours (monogenic index and period, idempotency, row and
+column spans) come from T in whole-array rounds; a colour refinement stamp,
+needed only when those colours fail to separate, expands T a block of rows
+at a time, so no n x n array is ever built.  Each choice of image is closed
+under products in semi-naive frontier rounds: a round gathers the products
+of the elements the round before assigned with the whole assigned domain,
+both ways, in one semigroup and at their images in the other, and checks
+every forced pair in whole arrays before any is written.  Definite answers
+are sound (witnesses are verified on all n^2 pairs, refusals come from
+exhaustion) and an exhausted node budget is reported as such, never
+guessed around.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
+
+from .closure import canonicalized_elements, close_pairs
+from .dihedral import GroupParams
+from .errors import ConsistencyError, ResourceLimitError
+from .mumaps import CanonicalMap, shift_modulus
+from .raw import _CHUNK_BYTES, SemigroupSummary
+
+ISO_ELEMENT_LIMIT = 4096
+DEFAULT_SEARCH_BUDGET = 10_000_000
+
+
+def verify_iso_map(g: GroupParams, image_rule: Callable[[int, int], tuple[int, int]]) -> bool:
+    """Whether the parameter rule is an isomorphism from the right onto the
+    left semigroup: a bijection that preserves every product."""
+    sm = shift_modulus(g.m)
+    source = close_pairs("right", g).elements
+    target = close_pairs("left", g).elements
+    _check_iso_size(max(len(source), len(target)))
+    images = np.array(
+        [CanonicalMap(*image_rule(*divmod(k, sm)), g.m).key for k in source.tolist()],
+        dtype=np.int64,
+    )
+    # a bijection onto the target exactly when the sorted images are the target
+    if not np.array_equal(np.sort(images), target):
+        return False
+    perm = np.searchsorted(target, images).astype(np.int32)
+    return _preserves_products(
+        perm, _scale_table(source, g.m, "right"), _scale_table(target, g.m, "left")
+    )
+
+
+class IsoStatus(Enum):
+    ISOMORPHIC = "isomorphic_with_witness"
+    NOT_ISOMORPHIC = "not_isomorphic"
+    BUDGET_EXHAUSTED = "budget_exhausted"
+
+
+@dataclass(frozen=True, slots=True)
+class IsoSearchResult:
+    status: IsoStatus
+    witness: dict | None
+    nodes: int
+
+
+def _check_iso_size(n: int) -> None:
+    """Refuse an isomorphism search or check over n elements above the cap,
+    before any product table is built."""
+    if n > ISO_ELEMENT_LIMIT:
+        raise ResourceLimitError(
+            f"isomorphism search limited to {ISO_ELEMENT_LIMIT} elements, got {n}"
+        )
+
+
+def _scale_table(keys: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication of the sorted int64 CanonicalMap keys, factored
+    through scales.
+
+    Composition multiplies both parameters of the left factor by the scale of
+    the right factor, so x * y depends only on x and the scale of y.  Returns
+    (T, sig): T[x, c] is the index of x * (any key of scale u[c]), for the s
+    distinct scales u of the keys, and sig[y] is the column of y's scale, so
+    x * y = T[x, sig[y]] and every column is some element's.  Raises if a
+    product is not among the keys.  int32 holds any index: n <= m *
+    shift_modulus(m) < 2**31.  Any n x n table t is the pair (t, arange(n)).
+    """
+    sm = shift_modulus(m)
+    keys = np.asarray(keys, dtype=np.int64)
+    scales, shifts = np.divmod(keys, sm)
+    u, sig = np.unique(scales, return_inverse=True)
+    lookup = np.full(m * sm, -1, dtype=np.int32)
+    lookup[keys] = np.arange(len(keys))
+    table = lookup[(scales[:, None] * u % m) * sm + shifts[:, None] * u % sm]
+    if (table < 0).any():
+        raise ConsistencyError(
+            f"m={m} side={side} stage=_scale_table: element set is not closed under composition"
+        )
+    return table, sig
+
+
+def _preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
+    """Whether x -> perm[x] carries every product of mult1 to the product in
+    mult2, over all n^2 pairs, a block of rows at a time so no n x n
+    temporary is built."""
+    t1, sig1 = mult1
+    t2, sig2 = mult2
+    image_cols = sig2[perm]
+    step = max(1, _CHUNK_BYTES // (4 * len(perm)))  # rows of int32 products
+    for lo in range(0, len(perm), step):
+        rows = slice(lo, lo + step)
+        if not np.array_equal(perm[t1[rows][:, sig1]], t2[perm[rows, None], image_cols]):
+            return False
+    return True
+
+
+def _monogenic_profiles(mult) -> np.ndarray:
+    """(index, period) of every element x: the least i and p >= 1 with
+    x^i = x^(i+p).  Brent's cycle search runs on all x in lockstep numpy
+    rounds of x^(k+1) = T[x^k, sig[x]], each round over the elements whose
+    search is still live, so the rounds hold O(n) memory."""
+    table, sig = mult
+    n = len(sig)
+
+    def advance(v: np.ndarray, live: np.ndarray) -> None:
+        v[live] = table[v[live], sig[live]]
+
+    # the period: the hare runs ahead, and the tortoise jumps to it at
+    # every power of two, until the hare meets it
+    tortoise = np.arange(n)
+    hare = table[tortoise, sig]
+    power, period = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    live = np.flatnonzero(tortoise != hare)
+    while len(live):
+        jump = live[power[live] == period[live]]
+        tortoise[jump] = hare[jump]
+        power[jump] *= 2
+        period[jump] = 0
+        advance(hare, live)
+        period[live] += 1
+        live = live[tortoise[live] != hare[live]]
+    # the index: from x and x^(1+period), step both until they meet
+    tortoise, hare = np.arange(n), np.arange(n)
+    for k in range(int(period.max(initial=0))):
+        advance(hare, np.flatnonzero(period > k))
+    index = np.ones(n, dtype=np.int64)
+    live = np.flatnonzero(tortoise != hare)
+    while len(live):
+        advance(tortoise, live)
+        advance(hare, live)
+        index[live] += 1
+        live = live[tortoise[live] != hare[live]]
+    return np.column_stack([index, period])
+
+
+def _distinct_counts(table: np.ndarray, axis: int) -> np.ndarray:
+    """Number of distinct entries in each row (axis=1) or column (axis=0)."""
+    ordered = np.moveaxis(np.sort(table, axis=axis), axis, -1)
+    return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
+
+
+def _initial_signatures(mult) -> np.ndarray:
+    """One row per element: monogenic index, period, idempotent flag, row
+    span and column span.  Every column of T is some element's, so a row of
+    T holds the distinct products of its row, and the column span of y is
+    that of its scale column."""
+    table, sig = mult
+    idempotent = table[np.arange(len(sig)), sig] == np.arange(len(sig))
+    return np.column_stack(
+        [
+            _monogenic_profiles(mult),
+            idempotent,
+            _distinct_counts(table, 1),
+            _distinct_counts(table, 0)[sig],
+        ]
+    )
+
+
+def _shared_colors(
+    rows1: Iterable[np.ndarray], rows2: Iterable[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense colours for the signature rows of both semigroups from one
+    shared palette, so equal signatures get equal colours across the pair."""
+    palette: dict[bytes, int] = {}
+    col1 = [palette.setdefault(row.tobytes(), len(palette)) for row in rows1]
+    col2 = [palette.setdefault(row.tobytes(), len(palette)) for row in rows2]
+    return np.asarray(col1), np.asarray(col2), len(palette)
+
+
+def _stamp(mult, col: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Yield, for each element x in order, its colour followed by the sorted
+    multiset of (colour of y, colour of x*y, colour of y*x) over all y,
+    encoded base width; width is at most 2 * ISO_ELEMENT_LIMIT, so width**3
+    stays far inside int64.  The rows are built a block at a time, so only a
+    block of the n x n products is ever expanded from T."""
+    table, sig = mult
+    colored = col[table]  # colored[x, sig[y]] is the colour of x * y
+    step = max(1, _CHUNK_BYTES // (8 * len(sig)))  # rows of int64 codes
+    for lo in range(0, len(sig), step):
+        rows = slice(lo, lo + step)
+        combo = (col * width + colored[rows][:, sig]) * width + colored[:, sig[rows]].T
+        combo.sort(axis=1)
+        yield from np.column_stack([col[rows], combo])
+
+
+def _refine_colors(mult1, mult2):
+    """Joint colour refinement of the two multiplications.
+
+    Colours are interned in one shared palette so they are comparable across
+    the pair; any isomorphism must preserve them.  Returns the stable colour
+    arrays, or None as soon as the colour multisets separate.
+    """
+    col1, col2, count = _shared_colors(_initial_signatures(mult1), _initial_signatures(mult2))
+    while True:
+        if (np.bincount(col1, minlength=count) != np.bincount(col2, minlength=count)).any():
+            return None
+        new1, new2, new_count = _shared_colors(
+            _stamp(mult1, col1, count), _stamp(mult2, col2, count)
+        )
+        if new_count == count:
+            return col1, col2
+        col1, col2, count = new1, new2, new_count
+
+
+def _frontier_products(mult, frontier: np.ndarray, domain: np.ndarray):
+    """Yield the products f * d then d * f, flattened, for f in frontier and d
+    in domain, one block of frontier elements at a time.  A block's products,
+    widened to int64 codes, fit _CHUNK_BYTES; pass the same frontier and domain
+    lengths to two multiplications and their blocks line up entry for entry."""
+    table, sig = mult
+    domain_cols = sig[domain]
+    step = max(1, _CHUNK_BYTES // (16 * len(domain)))  # 2 * f * |domain| int64 codes
+    for lo in range(0, len(frontier), step):
+        block = frontier[lo : lo + step]
+        yield np.concatenate(
+            (table[block[:, None], domain_cols].ravel(), table[domain[:, None], sig[block]].ravel())
+        )
+
+
+def _greedy_generators(mult) -> list[int]:
+    """A small generating set: every irreducible element (one that is not a
+    product of any two elements) must be a generator; greedy absorption mops
+    up whatever the irreducibles fail to reach.  Every column of T is some
+    element's, so the entries of T are exactly the products."""
+    table, sig = mult
+    n = len(sig)
+    reducible = np.zeros(n, dtype=bool)
+    reducible[table.ravel()] = True
+    inside = np.zeros(n, dtype=bool)
+    # members[:size] is the generated subsemigroup so far, in absorption order
+    members = np.empty(n, dtype=np.int32)
+
+    def absorb(new: np.ndarray, size: int) -> int:
+        # semi-naive rounds: only products with a new element can be new
+        while len(new):
+            inside[new] = True
+            lo, size = size, size + len(new)
+            members[lo:size] = new
+            new = np.empty(0, dtype=np.int32)
+            for z in _frontier_products(mult, members[lo:size], members[:size]):
+                new = np.union1d(new, z[~inside[z]])
+        return size
+
+    gens = np.flatnonzero(~reducible).tolist()
+    size = absorb(np.asarray(gens, dtype=np.int32), 0)
+    for x in range(n):
+        if size == n:
+            break
+        if not inside[x]:
+            gens.append(x)
+            size = absorb(np.array([x], dtype=np.int32), size)
+    return gens
+
+
+class _PartialIso:
+    """A partial injective map phi from the elements of one semigroup to those
+    of another that preserves colours and is closed under products: its
+    domain is a subsemigroup and phi[x * y] = phi[x] * phi[y] on it.  Each
+    multiplication is a scale-factored pair (T, sig), x * y = T[x, sig[y]]
+    (_scale_table).  A pair (x, w) is coded as x * n2 + w, n2 the size of the
+    second semigroup."""
+
+    def __init__(self, mult1, mult2, col1: np.ndarray, col2: np.ndarray):
+        self.mult1, self.mult2, self.col1, self.col2 = mult1, mult2, col1, col2
+        self.phi = np.full(len(col1), -1, dtype=np.int32)
+        self.used_by = np.full(len(col2), -1, dtype=np.int32)
+        # domain[:size] holds the assigned elements in assignment order
+        self.domain, self.size = np.empty(len(col1), dtype=np.int32), 0
+
+    def extend(self, x: int, w: int) -> bool:
+        """Map the unassigned x to w and close under products, in frontier
+        rounds: each round composes the elements the last round assigned with
+        the whole domain, both ways, in the first semigroup and at their
+        images in the second.  Every proposed pair is forced, so the closure
+        is the unique homomorphic extension whatever the order; on any
+        conflict the map is restored and False returned."""
+        n = len(self.used_by)
+        start = self.size
+        codes = np.array([x * n + w], dtype=np.int64)
+        while len(codes):
+            xs, ws = np.divmod(codes, n)
+            # a new image must be unused, used once, and of the same colour
+            taken = (self.used_by[ws] >= 0).any() or np.unique(ws).size != ws.size
+            if taken or (self.col1[xs] != self.col2[ws]).any():
+                self.undo(start)
+                return False
+            lo, self.size = self.size, self.size + len(xs)
+            self.phi[xs] = ws
+            self.used_by[ws] = xs
+            self.domain[lo : self.size] = xs
+            codes = self._forced(lo)
+            if codes is None:
+                self.undo(start)
+                return False
+        return True
+
+    def _forced(self, lo: int) -> np.ndarray | None:
+        """Sorted codes of the images w that products of domain[lo:size]
+        with the domain force on unassigned elements x, or None when a
+        product contradicts phi or gets two images."""
+        n = len(self.used_by)
+        frontier, domain = self.domain[lo : self.size], self.domain[: self.size]
+        pending = np.empty(0, dtype=np.int64)
+        blocks = zip(
+            _frontier_products(self.mult1, frontier, domain),
+            _frontier_products(self.mult2, self.phi[frontier], self.phi[domain]),
+        )
+        for xs, ws in blocks:
+            xs, ws = np.divmod(np.unique(xs.astype(np.int64) * n + ws), n)
+            known = self.phi[xs]
+            assigned = known >= 0
+            if (known[assigned] != ws[assigned]).any():
+                return None
+            pending = np.union1d(pending, xs[~assigned] * n + ws[~assigned])
+            if (np.diff(pending // n) == 0).any():
+                return None
+        return pending
+
+    def undo(self, start: int) -> None:
+        """Unassign everything assigned after the first start elements."""
+        xs = self.domain[start : self.size]
+        self.used_by[self.phi[xs]] = -1
+        self.phi[xs] = -1
+        self.size = start
+
+
+def search_isomorphism(
+    s1: SemigroupSummary, s2: SemigroupSummary, budget: int = DEFAULT_SEARCH_BUDGET
+) -> IsoSearchResult:
+    """Decide whether two closed semigroups are isomorphic.
+
+    Backtracks over colour-compatible images of a generating set of s1.
+    Both multiplications are scale-factored tables (T, sig), x * y =
+    T[x, sig[y]] (_scale_table), built only after the size cap admits the
+    search; no n x n table is built at all.  Every choice is closed under
+    products in frontier rounds (_PartialIso.extend), which gather the
+    forced images through both tables in bounded blocks and refuse any
+    conflict in whole arrays.  That closure is the unique homomorphic
+    extension of the chosen images, so neither it nor the node count depends
+    on the order in which products are examined.  The backtracking runs
+    over an explicit stack with one entry per open choice (position in the
+    generator order, untried images, domain size before the choice), and
+    generators whose image is already forced take no entry, so its depth is
+    bounded by the generating set, not by Python's recursion limit.  A
+    returned witness has been verified on all n^2 element pairs; a
+    not_isomorphic verdict means the colour-pruned search space was
+    exhausted, which is complete because colours are isomorphism-invariant.
+    """
+    if s1.size != s2.size:
+        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+    e1 = canonicalized_elements(s1, GroupParams.from_modulus(s1.m))
+    e2 = canonicalized_elements(s2, GroupParams.from_modulus(s2.m))
+    n = len(e1)
+
+    def witness(image) -> dict[CanonicalMap, CanonicalMap]:
+        decode = CanonicalMap.from_key
+        k1, k2 = e1.tolist(), e2.tolist()
+        return {decode(k1[x], s1.m): decode(k2[w], s2.m) for x, w in enumerate(image)}
+
+    if s1.m == s2.m and np.array_equal(e1, e2):
+        # same element set under the same composition rule: identity works
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
+    _check_iso_size(n)
+    mult1 = _scale_table(e1, s1.m, s1.side)
+    mult2 = _scale_table(e2, s2.m, s2.side)
+    colors = _refine_colors(mult1, mult2)
+    if colors is None:
+        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+    col1, col2 = colors
+    gens = _greedy_generators(mult1)
+    candidates: dict[int, list[int]] = {}
+    for gi in gens:
+        # refinement returned, so every colour of s1 also occurs in s2
+        cands = np.flatnonzero(col2 == col1[gi])
+        if s1.m == s2.m:
+            # the same key first, then the rest in index order
+            cands = cands[np.argsort(e2[cands] != e1[gi], kind="stable")]
+        candidates[gi] = cands.tolist()
+    # assign the most constraining generators first: a large left-ideal means
+    # many forced images per assignment, so conflicts surface early
+    t1, sig1 = mult1
+    column_span = _distinct_counts(t1, 0)[sig1].tolist()
+    order = sorted(gens, key=lambda gi: (-column_span[gi], len(candidates[gi]), gi))
+
+    partial = _PartialIso(mult1, mult2, col1, col2)
+    phi, used_by = partial.phi, partial.used_by
+    nodes = 0
+    stack: list[tuple[int, Iterator[int], int]] = []
+    k = 0
+    while True:
+        # generators whose image is already forced take no stack entry
+        while k < len(order) and phi[order[k]] >= 0:
+            k += 1
+        if k < len(order):
+            stack.append((k, iter(candidates[order[k]]), partial.size))
+        elif partial.size == n and _preserves_products(phi, mult1, mult2):
+            return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi.tolist()), nodes)
+        # advance the deepest open choice to its next unused image
+        while stack:
+            k, untried, mark = stack[-1]
+            partial.undo(mark)
+            w = next((w for w in untried if used_by[w] < 0), None)
+            if w is None:
+                stack.pop()
+                continue
+            nodes += 1
+            if nodes > budget:
+                return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)
+            if partial.extend(order[k], w):
+                break
+        if not stack:
+            return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, nodes)

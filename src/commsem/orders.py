@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .central_series import center_order
-from .containers import SIDES, base_scale, check_side, cover_power_count
-from .dihedral import GroupParams
+from .containers import base_scale, cover_power_count
+from .dihedral import SIDES, GroupParams, check_side
 from .errors import ConsistencyError, ParameterError
 from .modular import (
     first_repeat_exponent,

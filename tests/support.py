@@ -44,23 +44,20 @@ from commsem import (
     predicted_profile_holds,
     rho_map,
 )
-from commsem import closure
-from commsem.closure import (
+from commsem import raw
+from commsem.isomorphism import (
     DEFAULT_SEARCH_BUDGET,
-    RAW_ORACLE,
     IsoSearchResult,
     IsoStatus,
-    SemigroupSummary,
     _check_iso_size,
-    _commutator_tables,
     _distinct_counts,
     _greedy_generators,
     _PartialIso,
     _preserves_products,
     _refine_colors,
     _scale_table,
-    _sorted_keys,
 )
+from commsem.raw import RAW_ORACLE, SemigroupSummary, _commutator_tables
 
 from commsem.mumaps import CanonicalMap, alpha, beta, shift_modulus
 from perm_oracle import perm_commutator, perm_compose, perm_inverse, perm_of
@@ -471,11 +468,11 @@ def check_oracle_agreement(m_values) -> None:
             raw = close_raw(side, g)
             pairs = close_pairs(side, g)
             assert raw.size == pairs.size
-            assert canonicalized_elements(raw, g) == pairs.element_set
+            assert np.array_equal(canonicalized_elements(raw, g), pairs.elements)
 
 
 def scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, w) -> bool:
-    """Reference for closure._PartialIso.extend: the per-element worklist the
+    """Reference for isomorphism._PartialIso.extend: the per-element worklist the
     isomorphism search once ran.  Maps the unassigned x to w, then pairs each
     newly assigned element with the whole domain, one product at a time,
     assigning every forced image.  phi, used_by (lists) and domain (the list
@@ -543,7 +540,7 @@ def reference_close_pairs(side: str, g: GroupParams) -> tuple[int, frozenset]:
 
 
 def reference_close_tables(gens) -> frozenset[tuple[int, ...]]:
-    """Reference for closure._close_tables: every product of one or more of
+    """Reference for raw._close_tables: every product of one or more of
     the tables gens, by a scalar worklist that composes each known table with
     every generator; (t then g)(x) = g[t[x]]."""
     gens = [tuple(t) for t in np.asarray(gens).tolist()]
@@ -560,20 +557,20 @@ def reference_close_tables(gens) -> frozenset[tuple[int, ...]]:
 
 
 def reference_close_raw(side: str, g: GroupParams) -> SemigroupSummary:
-    """Reference for closure.close_raw: the closure as it once ran, composing
+    """Reference for raw.close_raw: the closure as it once ran, composing
     every frontier table with every distinct generator from the identity on,
     each product confirmed against the table its fingerprint proposes."""
     collision = f"m={g.m} side={side} stage=close_raw: distinct tables share a fingerprint"
     gens = np.unique(_commutator_tables(side, g).astype(np.uint8), axis=0)
     k, n = gens.shape
-    weights = closure._FINGERPRINT_WEIGHTS[:n]
+    weights = raw._FINGERPRINT_WEIGHTS[:n]
     images = np.ascontiguousarray(gens.T)  # images[y, j] = gens[j][y]
     images_f = images.astype(np.float64)
     # store[:count] holds every table found so far; known_fp is sorted, ends
     # in an infinite sentinel, and known_fp[r] belongs to store row known_row[r]
     store, count = np.empty((k, n), dtype=np.uint8), 0
     known_fp, known_row = np.array([np.inf]), np.array([-1])
-    step = max(1, closure._CHUNK_BYTES // (k * n))
+    step = max(1, raw._CHUNK_BYTES // (k * n))
     # round 0 composes the identity with every generator, which stores the
     # generators themselves
     frontier = np.arange(n)[None]
@@ -612,7 +609,7 @@ def reference_close_raw(side: str, g: GroupParams) -> SemigroupSummary:
 
 
 def reference_mult_table(keys, m: int) -> np.ndarray:
-    """Reference for closure._scale_table: the full n x n int32 table of the
+    """Reference for isomorphism._scale_table: the full n x n int32 table of the
     sorted CanonicalMap keys, one row at a time, as the isomorphism search
     once built it; -1 marks a product outside the keys."""
     sm = shift_modulus(m)
@@ -640,7 +637,7 @@ def scalar_monogenic_profile(table: np.ndarray, x: int) -> tuple[int, int]:
 
 
 def reference_signatures(table: np.ndarray) -> np.ndarray:
-    """Reference for closure._initial_signatures on a full n x n table: per
+    """Reference for isomorphism._initial_signatures on a full n x n table: per
     element, monogenic index, period, idempotent flag, and the numbers of
     distinct entries in its row and in its column, counted by marking each
     (row, entry) and (entry, column) pair in a boolean matrix."""
@@ -656,7 +653,7 @@ def reference_signatures(table: np.ndarray) -> np.ndarray:
 
 
 def reference_stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:
-    """Reference for closure._stamp on a full n x n table, in whole arrays:
+    """Reference for isomorphism._stamp on a full n x n table, in whole arrays:
     row x is col[x] followed by the sorted codes (col[y] * width + col[x*y])
     * width + col[y*x] over all y."""
     prod = col[table]
@@ -668,14 +665,14 @@ def reference_stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarra
 def recursive_search_isomorphism(
     s1: SemigroupSummary, s2: SemigroupSummary, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> IsoSearchResult:
-    """Reference for closure.search_isomorphism: the search as it once ran,
+    """Reference for isomorphism.search_isomorphism: the search as it once ran,
     backtracking through a self-recursive closure, one Python frame per
     generator, so a generating set longer than the recursion limit raised
     RecursionError.  Same candidates, order and budget accounting."""
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
-    e1 = _sorted_keys(s1, GroupParams.from_modulus(s1.m))
-    e2 = _sorted_keys(s2, GroupParams.from_modulus(s2.m))
+    e1 = canonicalized_elements(s1, GroupParams.from_modulus(s1.m))
+    e2 = canonicalized_elements(s2, GroupParams.from_modulus(s2.m))
     n = len(e1)
 
     def witness(image) -> dict[CanonicalMap, CanonicalMap]:

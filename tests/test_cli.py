@@ -7,18 +7,15 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from commsem import cli, closure
-from commsem.closure import (
-    DEFAULT_SEARCH_BUDGET,
-    ISO_ELEMENT_LIMIT,
-    PAIRS_MODULUS_LIMIT,
-    RAW_MODULUS_LIMIT,
-    SemigroupSummary,
-)
+from commsem import cli, isomorphism
+from commsem.closure import PAIRS_MODULUS_LIMIT
+from commsem.isomorphism import DEFAULT_SEARCH_BUDGET, ISO_ELEMENT_LIMIT
+from commsem.raw import RAW_MODULUS_LIMIT, SemigroupSummary
 from reference_orders import REFERENCE_ORDERS
 
 
@@ -110,7 +107,7 @@ def test_table_csv_round_trip(capsys):
             "iso_gupta": record["iso_gupta"] == "true",
             "verified": record["verified"],
         }
-        assert emitted == row.csv_record()
+        assert emitted == asdict(row)
 
 
 def test_table_json_round_trip(capsys):
@@ -119,7 +116,7 @@ def test_table_json_round_trip(capsys):
     rows = json.loads(out)
     assert [row["m"] for row in rows] == list(range(3, 21))
     for record in rows:
-        assert record == cli.build_row(record["m"], "pairs").csv_record()
+        assert record == asdict(cli.build_row(record["m"], "pairs"))
 
 
 def test_table_deterministic_and_meta(capsys):
@@ -329,7 +326,7 @@ def test_iso_usage_errors(capsys, monkeypatch):
     def no_table(*_args):
         raise AssertionError("the product table must not be built")
 
-    monkeypatch.setattr(closure, "_scale_table", no_table)
+    monkeypatch.setattr(isomorphism, "_scale_table", no_table)
     # |P| = |L| = 53235 at m = 4095 and 5175 at m = 115, both above the cap
     for m, n in ((4095, 53235), (115, 5175)):
         code, out, err = run_cli(capsys, "iso", "--m", str(m))

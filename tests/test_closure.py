@@ -1,7 +1,9 @@
 """Closure oracles and isomorphism search."""
 
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,21 +15,19 @@ from commsem import (
     ConsistencyError,
     GroupParams,
     IsoStatus,
-    ParameterError,
     ResourceLimitError,
     SemigroupSummary,
     canonicalized_elements,
     close_pairs,
     close_raw,
     commutator,
-    container_powers_cover_closure,
     element_index,
     enumerate_elements,
     order_central_series,
     search_isomorphism,
     verify_iso_map,
 )
-from commsem import closure
+from commsem import central_series, closure, containers, isomorphism, modular, mumaps, orders, raw
 import support
 from support import (
     check_oracle_agreement,
@@ -55,33 +55,68 @@ def test_raw_anchor_values():
     assert right.element_set != left.element_set
     assert right.generator_count == 8
     assert right.oracle == "raw_tables"
+    for m in (3, 5, 8):
+        for side in ("right", "left"):
+            summary = close_raw(side, GroupParams.from_modulus(m))
+            # one image table per element, and every image is a rotation
+            assert summary.elements.shape == (summary.size, 2 * m)
+            assert 0 <= summary.elements.min() and summary.elements.max() < m
+
+
+def _package_imports(module) -> set[str]:
+    """The commsem modules that a module's source imports from."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("commsem."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("commsem.")}
+    return found
+
+
+def test_oracles_are_independent_by_import():
+    # the raw oracle sees only the group; the pair oracle none of the formula routes
+    assert _package_imports(raw) == {"dihedral", "errors"}
+    assert not _package_imports(closure) & {"containers", "orders", "modular", "central_series"}
+
+
+def _refuse_module_callables(monkeypatch, modules, message):
+    """Make every function and class defined in the modules raise when called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    patched = set()
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if callable(value) and getattr(value, "__module__", None) == module.__name__:
+                monkeypatch.setattr(module, name, refuse)
+                patched.add(name)
+    return patched
 
 
 def test_close_raw_ignores_parameter_calculus(monkeypatch):
-    # every name closure imports from the parameter calculus raises; check_side
-    # is input validation and stays live
-    def refuse(*args, **kwargs):
-        raise AssertionError("close_raw touched the parameter calculus")
-
-    calculus = {"commsem.mumaps", "commsem.containers"}
-    patched = {
-        name
-        for name, value in vars(closure).items()
-        if getattr(value, "__module__", None) in calculus and name != "check_side"
+    # every function and class of the parameter calculus and the formula
+    # routes raises; the expected orders are computed before they do
+    expected = {
+        (m, side): order_central_series(side, GroupParams.from_modulus(m))
+        for m in (3, 8, 12, 15)
+        for side in ("right", "left")
     }
+    assert expected[3, "right"] == 6 and expected[3, "left"] == 9
+    calculus = (mumaps, containers, orders, modular, central_series)
+    patched = _refuse_module_callables(
+        monkeypatch, calculus, "close_raw touched the parameter calculus"
+    )
     assert patched >= {
         "CanonicalMap", "alpha", "beta", "function_table", "shift_modulus",
-        "Container", "container_members", "container_product",
+        "Container", "container_members", "container_product", "order_central_series",
     }
-    for name in patched:
-        monkeypatch.setattr(closure, name, refuse)
-    g3 = GroupParams.from_modulus(3)
-    assert close_raw("right", g3).size == 6
-    assert close_raw("left", g3).size == 9
-    for m in (8, 12, 15):
-        g = GroupParams.from_modulus(m)
-        for side in ("right", "left"):
-            assert close_raw(side, g).size == order_central_series(side, g)
+    for (m, side), order in expected.items():
+        assert close_raw(side, GroupParams.from_modulus(m)).size == order
 
 
 def test_generator_tables_match_scalar_commutators():
@@ -93,7 +128,7 @@ def test_generator_tables_match_scalar_commutators():
             "left": [[element_index(commutator(y, x, g)) for x in elems] for y in elems],
         }
         for side, tables in scalar.items():
-            assert closure._commutator_tables(side, g).tolist() == tables
+            assert raw._commutator_tables(side, g).tolist() == tables
             distinct = {tuple(t) for t in tables}
             assert close_raw(side, g).generator_count == len(distinct)
 
@@ -106,7 +141,7 @@ def test_close_raw_refuses_fingerprint_collisions(monkeypatch):
     }
     # constant weights: a fingerprint is the sum of a table, which distinct
     # tables share
-    monkeypatch.setattr(closure, "_FINGERPRINT_WEIGHTS", np.ones(256))
+    monkeypatch.setattr(raw, "_FINGERPRINT_WEIGHTS", np.ones(256))
     for m, side in reference:
         with pytest.raises(ConsistencyError, match=f"m={m} side={side} stage=close_raw"):
             close_raw(side, GroupParams.from_modulus(m))
@@ -114,7 +149,7 @@ def test_close_raw_refuses_fingerprint_collisions(monkeypatch):
     outcomes = set()
     for seed in range(10):
         weights = np.random.default_rng(seed).integers(1, 4, 256).astype(np.float64)
-        monkeypatch.setattr(closure, "_FINGERPRINT_WEIGHTS", weights)
+        monkeypatch.setattr(raw, "_FINGERPRINT_WEIGHTS", weights)
         for m, side in reference:
             try:
                 got = close_raw(side, GroupParams.from_modulus(m))
@@ -155,7 +190,7 @@ def transformation_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(transformation_sets())
 def test_close_tables_matches_set_closure(gens):
-    got = closure._close_tables(gens, "collision")
+    got = raw._close_tables(gens, "collision")
     assert got.dtype == np.uint8
     closed = {tuple(t) for t in got.tolist()}
     assert len(closed) == len(got)
@@ -164,10 +199,10 @@ def test_close_tables_matches_set_closure(gens):
 
 def test_close_tables_refuses_generator_fingerprint_collisions(monkeypatch):
     # constant weights: two distinct generators with one sum share a fingerprint
-    monkeypatch.setattr(closure, "_FINGERPRINT_WEIGHTS", np.ones(256))
+    monkeypatch.setattr(raw, "_FINGERPRINT_WEIGHTS", np.ones(256))
     gens = np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8)
     with pytest.raises(ConsistencyError, match="collision"):
-        closure._close_tables(gens, "collision")
+        raw._close_tables(gens, "collision")
 
 
 def test_close_raw_matches_reference_closure():
@@ -226,23 +261,20 @@ def test_close_pairs_matches_scalar_worklist(moduli):
 
 def test_close_pairs_ignores_formula_routes(monkeypatch):
     # the pair oracle checks the order formulas, so it may use none of them;
-    # check_side is input validation and stays live
-    def refuse(*args, **kwargs):
-        raise AssertionError("close_pairs touched a formula route")
-
-    routes = {"commsem.containers", "commsem.orders", "commsem.modular"}
-    patched = {
-        name
-        for name, value in vars(closure).items()
-        if getattr(value, "__module__", None) in routes and name != "check_side"
+    # the expected orders are computed before every route raises
+    expected = {
+        (m, side): order_central_series(side, GroupParams.from_modulus(m))
+        for m in (3, 8, 15, 64, 509)
+        for side in ("right", "left")
     }
-    assert patched >= {"Container", "base_scale", "container_members", "container_product"}
-    for name in patched:
-        monkeypatch.setattr(closure, name, refuse)
-    for m in (3, 8, 15, 64, 509):
-        g = GroupParams.from_modulus(m)
-        for side in ("right", "left"):
-            assert close_pairs(side, g).size == order_central_series(side, g)
+    routes = (containers, orders, modular, central_series)
+    patched = _refuse_module_callables(monkeypatch, routes, "close_pairs touched a formula route")
+    assert patched >= {
+        "Container", "base_scale", "container_members", "container_product",
+        "order_central_series", "orbit_profile", "center_order",
+    }
+    for (m, side), order in expected.items():
+        assert close_pairs(side, GroupParams.from_modulus(m)).size == order
 
 
 def test_pairs_reference_sizes():
@@ -286,15 +318,6 @@ def test_closure_idempotence_random_pairs():
                 f = rng.choice(elements)
                 h = rng.choice(elements)
                 assert f.then(h).key in universe
-
-
-def test_container_powers_cover():
-    for m in (8, 15, 24):
-        g = GroupParams.from_modulus(m)
-        for side in ("right", "left"):
-            assert container_powers_cover_closure(g, side)
-    with pytest.raises(ResourceLimitError):
-        container_powers_cover_closure(GroupParams.from_modulus(300), "right")
 
 
 def test_verify_iso_map_examples():
@@ -361,7 +384,7 @@ TRAVERSAL_CASES = [(m, "right", m, "left") for m in (8, 20, 52, 85, 100)] + [
 def test_stack_search_matches_recursive_reference(m1, side1, m2, side2):
     s1 = close_pairs(side1, GroupParams.from_modulus(m1))
     s2 = close_pairs(side2, GroupParams.from_modulus(m2))
-    for budget in (0, 1, 10, 50, closure.DEFAULT_SEARCH_BUDGET):
+    for budget in (0, 1, 10, 50, isomorphism.DEFAULT_SEARCH_BUDGET):
         got = search_isomorphism(s1, s2, budget=budget)
         want = recursive_search_isomorphism(s1, s2, budget=budget)
         assert (got.status, got.nodes, got.witness) == (want.status, want.nodes, want.witness)
@@ -374,12 +397,12 @@ def test_stack_search_backtracks_like_recursive_reference(monkeypatch):
     def one_colour(mult1, mult2):
         return np.zeros(len(mult1[0]), dtype=np.int64), np.zeros(len(mult2[0]), dtype=np.int64)
 
-    monkeypatch.setattr(closure, "_refine_colors", one_colour)
+    monkeypatch.setattr(isomorphism, "_refine_colors", one_colour)
     monkeypatch.setattr(support, "_refine_colors", one_colour)
     # exhausted (578 nodes), exhausted budgets mid-backtrack, a late witness
-    cases = [(9, "right", 24, "left", (closure.DEFAULT_SEARCH_BUDGET,))]
+    cases = [(9, "right", 24, "left", (isomorphism.DEFAULT_SEARCH_BUDGET,))]
     cases += [(15, "right", 15, "left", (0, 1, 10, 50, 1000))]
-    cases += [(10, "left", 5, "right", (closure.DEFAULT_SEARCH_BUDGET,))]
+    cases += [(10, "left", 5, "right", (isomorphism.DEFAULT_SEARCH_BUDGET,))]
     for m1, side1, m2, side2, budgets in cases:
         s1 = close_pairs(side1, GroupParams.from_modulus(m1))
         s2 = close_pairs(side2, GroupParams.from_modulus(m2))
@@ -393,8 +416,8 @@ def test_stack_search_backtracks_like_recursive_reference(monkeypatch):
 def test_distinct_counts_match_sets():
     g12 = GroupParams.from_modulus(12)
     for side in ("right", "left"):
-        scaled, sig = closure._scale_table(sorted(close_pairs(side, g12).element_set), 12, side)
-        rows, cols = closure._distinct_counts(scaled, 1), closure._distinct_counts(scaled, 0)[sig]
+        scaled, sig = isomorphism._scale_table(sorted(close_pairs(side, g12).element_set), 12, side)
+        rows, cols = isomorphism._distinct_counts(scaled, 1), isomorphism._distinct_counts(scaled, 0)[sig]
         t = scaled[:, sig]
         for x in range(t.shape[0]):
             assert rows[x] == len(set(t[x].tolist()))
@@ -403,14 +426,14 @@ def test_distinct_counts_match_sets():
 
 def test_mult_table_rejects_unclosed_keys():
     keys = sorted(close_pairs("right", GroupParams.from_modulus(8)).element_set)
-    scaled, sig = closure._scale_table(keys, 8, "right")
+    scaled, sig = isomorphism._scale_table(keys, 8, "right")
     assert scaled.dtype == "int32"
     t = scaled[:, sig]
     # drop a product of two other elements, so that product has no index
     i, j = next((i, j) for i in range(len(keys)) for j in range(len(keys)) if t[i, j] not in (i, j))
     unclosed = [k for k in keys if k != keys[t[i, j]]]
     with pytest.raises(ConsistencyError) as info:
-        closure._scale_table(unclosed, 8, "right")
+        isomorphism._scale_table(unclosed, 8, "right")
     assert str(info.value).startswith("m=8 side=right stage=_scale_table: ")
 
 
@@ -423,26 +446,26 @@ FACTORED_MODULI = [15, 24, 55, 74, 95, 13, 26, 37]
 def test_scale_table_expands_to_reference(m):
     for side in ("right", "left"):
         keys = sorted(close_pairs(side, GroupParams.from_modulus(m)).element_set)
-        scaled, sig = closure._scale_table(keys, m, side)
+        scaled, sig = isomorphism._scale_table(keys, m, side)
         reference = reference_mult_table(keys, m)
         assert scaled.dtype == "int32" and scaled.shape[1] == sig.max() + 1 < len(keys)
         assert np.array_equal(scaled[:, sig], reference)
-        signatures = closure._initial_signatures((scaled, sig))
+        signatures = isomorphism._initial_signatures((scaled, sig))
         assert np.array_equal(signatures, reference_signatures(reference))
 
 
 # a one-byte chunk makes every block of stamp rows a single row
-@pytest.mark.parametrize("chunk_bytes", [closure._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
 @pytest.mark.parametrize("m,side", [(15, "right"), (24, "left"), (26, "right"), (13, "left")])
 def test_stamp_rows_match_whole_table_reference(monkeypatch, m, side, chunk_bytes):
-    monkeypatch.setattr(closure, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
     scaled, sig = _table(m, side)
     t = scaled[:, sig]
     # the initial colours, and a random colouring that splits every class
-    col, _, width = closure._shared_colors(closure._initial_signatures((scaled, sig)), [])
+    col, _, width = isomorphism._shared_colors(isomorphism._initial_signatures((scaled, sig)), [])
     rng = np.random.default_rng(m)
     for col, width in ((col, width), (rng.integers(0, len(t), len(t)), len(t))):
-        rows = list(closure._stamp((scaled, sig), col, width))
+        rows = list(isomorphism._stamp((scaled, sig), col, width))
         assert np.array_equal(np.array(rows), reference_stamp(t, col, width))
 
 
@@ -452,12 +475,12 @@ def test_monogenic_profiles_match_scalar_walk_on_arbitrary_tables():
     for n in (1, 2, 3, 7, 30, 200):
         for _ in range(5):
             t = rng.integers(0, n, (n, n)).astype(np.int32)
-            profiles = closure._monogenic_profiles((t, np.arange(n)))
+            profiles = isomorphism._monogenic_profiles((t, np.arange(n)))
             assert profiles.tolist() == [list(scalar_monogenic_profile(t, x)) for x in range(n)]
     # one long cycle: x^k = k mod n for the powers of 1, so 1 has period n
     n = 50
     t = (np.arange(n)[:, None] + np.arange(n)) % n
-    profiles = closure._monogenic_profiles((t.astype(np.int32), np.arange(n)))
+    profiles = isomorphism._monogenic_profiles((t.astype(np.int32), np.arange(n)))
     assert profiles.tolist() == [list(scalar_monogenic_profile(t, x)) for x in range(n)]
 
 
@@ -480,17 +503,17 @@ def test_verify_iso_map_refuses_above_cap(monkeypatch):
     def no_table(*_args):
         raise AssertionError("the product table must not be built")
 
-    monkeypatch.setattr(closure, "_scale_table", no_table)
+    monkeypatch.setattr(isomorphism, "_scale_table", no_table)
     # |P| = |L| = 10201 at m = 101, above the cap
     with pytest.raises(ResourceLimitError) as info:
         verify_iso_map(GroupParams.from_modulus(101), lambda a, b: (a, b))
-    assert "10201" in str(info.value) and str(closure.ISO_ELEMENT_LIMIT) in str(info.value)
+    assert "10201" in str(info.value) and str(isomorphism.ISO_ELEMENT_LIMIT) in str(info.value)
 
 
 def _table(m, side):
     """The scale-factored pair (T, sig) of one closure."""
     keys = sorted(close_pairs(side, GroupParams.from_modulus(m)).element_set)
-    return closure._scale_table(keys, m, side)
+    return isomorphism._scale_table(keys, m, side)
 
 
 def _whole(t):
@@ -518,34 +541,34 @@ def test_frontier_rounds_keep_every_block(monkeypatch):
     # x = 0 and y = 1 are idempotents, x*y = 2, y*x = 3, 2*2 = 4, 3*3 = 5 and
     # every other product is y.  With one frontier element per block, the
     # round whose frontier is {2, 3} finds 4 and 5 in different blocks.
-    monkeypatch.setattr(closure, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", 1)
     rows = [[1] * 6 for _ in range(6)]
     for x, y, z in ((0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (2, 2, 4), (3, 3, 5)):
         rows[x][y] = z
     t = np.array(rows, dtype=np.int32)
-    assert closure._greedy_generators(_whole(t)) == [0, 1]
-    partial = closure._PartialIso(_whole(t), _whole(t), np.zeros(6), np.zeros(6))
+    assert isomorphism._greedy_generators(_whole(t)) == [0, 1]
+    partial = isomorphism._PartialIso(_whole(t), _whole(t), np.zeros(6), np.zeros(6))
     assert partial.extend(1, 1) and partial.extend(0, 0)
     assert partial.phi.tolist() == list(range(6))
 
 
 # a one-byte chunk makes every block a single frontier element
-@pytest.mark.parametrize("chunk_bytes", [closure._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
 @pytest.mark.parametrize("m1,side1,m2,side2", PROPAGATION_CASES)
 def test_frontier_propagation_matches_scalar_reference(
     monkeypatch, m1, side1, m2, side2, chunk_bytes
 ):
-    monkeypatch.setattr(closure, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
     mult1, mult2 = _table(m1, side1), _table(m2, side2)
     # the scalar reference runs on the expanded n x n tables
     t1, t2 = (scaled[:, sig] for scaled, sig in (mult1, mult2))
-    colors = closure._refine_colors(mult1, mult2) if len(t1) == len(t2) else None
+    colors = isomorphism._refine_colors(mult1, mult2) if len(t1) == len(t2) else None
     if colors is None:
         # the idempotent flag is invariant too, and keeps the colour check live
         colors = tuple(np.diagonal(t) == np.arange(len(t)) for t in (t1, t2))
     col1, col2 = colors
     rows1, rows2, cols1, cols2 = t1.tolist(), t2.tolist(), col1.tolist(), col2.tolist()
-    gens = closure._greedy_generators(mult1)
+    gens = isomorphism._greedy_generators(mult1)
     witness = _witness_images(
         close_pairs(side1, GroupParams.from_modulus(m1)),
         close_pairs(side2, GroupParams.from_modulus(m2)),
@@ -555,7 +578,7 @@ def test_frontier_propagation_matches_scalar_reference(
     for trial in range(21):
         # the last trial takes every image from a witness, when there is one
         follow = trial == 20 and witness is not None
-        partial = closure._PartialIso(mult1, mult2, col1, col2)
+        partial = isomorphism._PartialIso(mult1, mult2, col1, col2)
         phi, used_by, domain = [-1] * len(t1), [-1] * len(t2), []
         for x in rng.sample(gens, len(gens)):
             if phi[x] >= 0:
@@ -600,19 +623,19 @@ def test_frontier_propagation_refuses_conflicts_within_one_round(rows1, rows2):
     cols1, cols2 = [0] * len(rows1), [0] * len(rows2)
     phi, used_by, domain = [-1] * len(rows1), [-1] * len(rows2), []
     t1, t2 = np.array(rows1, dtype=np.int32), np.array(rows2, dtype=np.int32)
-    partial = closure._PartialIso(_whole(t1), _whole(t2), np.array(cols1), np.array(cols2))
+    partial = isomorphism._PartialIso(_whole(t1), _whole(t2), np.array(cols1), np.array(cols2))
     for x, expected in ((1, True), (0, False)):
         assert scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, x) is expected
         assert partial.extend(x, x) is expected
         assert partial.phi.tolist() == phi and partial.used_by.tolist() == used_by
 
 
-@pytest.mark.parametrize("chunk_bytes", [closure._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
 @pytest.mark.parametrize("m,side", [(8, "right"), (12, "left"), (52, "right"), (26, "left")])
 def test_greedy_generators_generate_the_table(monkeypatch, m, side, chunk_bytes):
-    monkeypatch.setattr(closure, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
     scaled, sig = _table(m, side)
-    gens = closure._greedy_generators((scaled, sig))
+    gens = isomorphism._greedy_generators((scaled, sig))
     t = scaled[:, sig]
     reached, frontier = set(gens), list(gens)
     while frontier:
@@ -643,16 +666,3 @@ def test_raw_decode_matches_formula_sizes():
             assert raw.size == order_central_series(side, g)
             assert len(canonicalized_elements(raw, g)) == raw.size
 
-
-def test_raw_tables_decode():
-    from commsem import raw_tables
-
-    g = GroupParams.from_modulus(5)
-    summary = close_raw("right", g)
-    tables = raw_tables(summary)
-    assert len(tables) == summary.size
-    for table in tables:
-        assert len(table) == 10
-        assert all(0 <= v < 5 for v in table)  # images stay in the rotations
-    with pytest.raises(ParameterError):
-        raw_tables(close_pairs("right", g))
