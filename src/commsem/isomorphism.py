@@ -6,14 +6,20 @@ colour refinement.  It reads every product from a scale-factored table: the
 composition rule makes x * y depend only on x and the scale of y, so the
 multiplication is an n x s int32 table T over the s distinct scales plus
 each element's scale column sig, with x * y = T[x, sig[y]] (_scale_table).
-The initial colours (monogenic index and period, idempotency, row and
-column spans) come from T in whole-array rounds; a colour refinement stamp,
-needed only when those colours fail to separate, expands T a block of rows
-at a time, so no n x n array is ever built.  Each choice of image is closed
-under products in semi-naive frontier rounds: a round gathers the products
-of the elements the round before assigned with the whole assigned domain,
-both ways, in one semigroup and at their images in the other, and checks
-every forced pair in whole arrays before any is written.  Definite answers
+
+Every step past the table is factored through scales too, so none does
+O(n^2) work.  The initial colours (monogenic index and period, idempotency,
+row and column spans) come from T in whole-array rounds.  A colour
+refinement stamp counts, per scale, the y that share a key (sig[y], col[y],
+col[y * x]) in one sort of n x s keys, and reads col[x * y] once per key,
+not once per y.  Each choice of image is closed under products in
+semi-naive frontier rounds: a pair forced by f * d depends on d only
+through its scale pair (sig1[d], sig2[phi[d]]), so a round gathers the
+frontier against the distinct scale pairs of the domain and the domain
+against those of the frontier, in one semigroup and at the images in the
+other, and checks every forced pair in whole arrays before any is written.
+The leaf check compares one column pair per distinct scale pair (sig1[y],
+sig2[phi[y]]), which still covers all n^2 pairs (x, y).  Definite answers
 are sound (witnesses are verified on all n^2 pairs, refusals come from
 exhaustion) and an exhausted node budget is reported as such, never
 guessed around.
@@ -105,17 +111,41 @@ def _scale_table(keys: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.nd
     return table, sig
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-d array, by one sort and a mask of
+    changes between neighbours (a plain np.unique imports numpy.ma on first
+    use, about 12 ms)."""
+    ordered = np.sort(values)
+    change = np.empty(len(ordered), dtype=bool)
+    change[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
+    return ordered[change]
+
+
+def _scale_pairs(mult1, mult2, xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct scale pairs (sig1[x], sig2[w]) over the pairs (xs[i],
+    ws[i]), as two arrays of columns: (c1[j], c2[j]) is the j-th pair."""
+    (_, sig1), (t2, sig2) = mult1, mult2
+    width = t2.shape[1]
+    return np.divmod(_distinct(sig1[xs].astype(np.int64) * width + sig2[ws]), width)
+
+
 def _preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
     """Whether x -> perm[x] carries every product of mult1 to the product in
-    mult2, over all n^2 pairs, a block of rows at a time so no n x n
-    temporary is built."""
-    t1, sig1 = mult1
-    t2, sig2 = mult2
-    image_cols = sig2[perm]
-    step = max(1, _CHUNK_BYTES // (4 * len(perm)))  # rows of int32 products
-    for lo in range(0, len(perm), step):
-        rows = slice(lo, lo + step)
-        if not np.array_equal(perm[t1[rows][:, sig1]], t2[perm[rows, None], image_cols]):
+    mult2, over all n^2 pairs (x, y).
+
+    x * y = T1[x, sig1[y]] and perm[x] * perm[y] = T2[perm[x], sig2[perm[y]]]
+    depend on y only through its scale pair (sig1[y], sig2[perm[y]]), so
+    comparing perm[T1[:, c1]] with T2[perm, c2] once for each distinct pair
+    (c1, c2) covers every pair (x, y): O(n p) work for p distinct pairs.
+    The pairs are compared a block at a time, so no temporary exceeds
+    _CHUNK_BYTES."""
+    (t1, _), (t2, _) = mult1, mult2
+    c1, c2 = _scale_pairs(mult1, mult2, np.arange(len(perm)), perm)
+    step = max(1, _CHUNK_BYTES // (4 * len(perm)))  # pairs of int32 product columns
+    for lo in range(0, len(c1), step):
+        pairs = slice(lo, lo + step)
+        if not np.array_equal(perm[t1[:, c1[pairs]]], t2[perm[:, None], c2[pairs]]):
             return False
     return True
 
@@ -194,19 +224,68 @@ def _shared_colors(
 
 
 def _stamp(mult, col: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """Yield, for each element x in order, its colour followed by the sorted
-    multiset of (colour of y, colour of x*y, colour of y*x) over all y,
-    encoded base width; width is at most 2 * ISO_ELEMENT_LIMIT, so width**3
-    stays far inside int64.  The rows are built a block at a time, so only a
-    block of the n x n products is ever expanded from T."""
+    """Yield, for each element x in order, its stamp: col[x], then the sorted
+    distinct codes (col[y] * width + col[x*y]) * width + col[y*x] over all
+    y, then how many y give each code.  Two stamps are equal exactly when
+    col[x] and the multisets of codes are.
+
+    x*y = T[x, sig[y]] and y*x = T[y, sig[x]], so for a fixed d = sig[x], y
+    enters the stamp only through the key (sig[y], col[y], col[T[y, d]]).
+    One sort of the n x s keys ((d * s + sig[y]) * width + col[y]) * width +
+    col[T[y, d]] counts the y of each key; the stamp of x then reads
+    col[x*y] = colored[x, sig[y]] once per key of its scale, not once per
+    y, and merges equal codes by adding their counts.  width is at most
+    2 * ISO_ELEMENT_LIMIT and s <= n <= ISO_ELEMENT_LIMIT, so the keys stay
+    below (n * width)**2 <= 2**50 and the codes below width**3 + width**2,
+    far inside int64.  The keys are n x s, like colored; the stamps are
+    built a block of x rows at a time, each row padded to the most keys any
+    scale has, so each array of a block fits _CHUNK_BYTES.
+    """
     table, sig = mult
+    n, s = table.shape
     colored = col[table]  # colored[x, sig[y]] is the colour of x * y
-    step = max(1, _CHUNK_BYTES // (8 * len(sig)))  # rows of int64 codes
-    for lo in range(0, len(sig), step):
-        rows = slice(lo, lo + step)
-        combo = (col * width + colored[rows][:, sig]) * width + colored[:, sig[rows]].T
-        combo.sort(axis=1)
-        yield from np.column_stack([col[rows], combo])
+    keys = ((np.arange(s) * s + sig[:, None]) * width + col[:, None]) * width + colored
+    keys = np.sort(keys, axis=None)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=len(keys))
+    scale, rest = np.divmod(keys[starts], s * width * width)
+    column, rest = np.divmod(rest, width * width)
+    # row d holds the keys of scale d, padded to the longest row: a padding
+    # entry has count 0 and a code of at least width**3, above every real one
+    bounds = np.searchsorted(scale, np.arange(s + 1))
+    slot = np.arange(len(scale)) - bounds[scale]
+    pad = (s, int(np.diff(bounds).max()))
+    key_col, key_y, key_yx, key_count = (np.zeros(pad, dtype=np.int64) for _ in range(4))
+    key_y[:] = width
+    key_col[scale, slot] = column
+    key_y[scale, slot], key_yx[scale, slot] = np.divmod(rest, width)
+    key_count[scale, slot] = counts
+    step = max(1, _CHUNK_BYTES // (8 * pad[1]))  # rows of int64 codes
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        d = sig[rows]
+        codes = (key_y[d] * width + colored[rows[:, None], key_col[d]]) * width + key_yx[d]
+        order = np.argsort(codes, axis=1)
+        codes = np.take_along_axis(codes, order, axis=1).ravel()
+        tally = np.take_along_axis(key_count[d], order, axis=1).ravel()
+        # merge equal codes within a row, then drop the padding
+        first = np.ones(codes.shape, dtype=bool)
+        first[1:] = codes[1:] != codes[:-1]
+        first[:: pad[1]] = True
+        at = np.flatnonzero(first)
+        tally = np.add.reduceat(tally, at)
+        keep = tally > 0
+        owner, codes, tally = at[keep] // pad[1], codes[at[keep]], tally[keep]
+        # row i is col[x], its codes, then their counts
+        length = np.bincount(owner, minlength=len(rows))
+        ends = np.cumsum(1 + 2 * length)
+        begin = ends - 1 - 2 * length
+        within = np.arange(len(owner)) - (np.cumsum(length) - length)[owner]
+        flat = np.empty(ends[-1], dtype=np.int64)
+        flat[begin] = col[rows]
+        flat[begin[owner] + 1 + within] = codes
+        flat[begin[owner] + 1 + length[owner] + within] = tally
+        yield from (flat[a:b] for a, b in zip(begin.tolist(), ends.tolist()))
 
 
 def _refine_colors(mult1, mult2):
@@ -228,26 +307,13 @@ def _refine_colors(mult1, mult2):
         col1, col2, count = new1, new2, new_count
 
 
-def _frontier_products(mult, frontier: np.ndarray, domain: np.ndarray):
-    """Yield the products f * d then d * f, flattened, for f in frontier and d
-    in domain, one block of frontier elements at a time.  A block's products,
-    widened to int64 codes, fit _CHUNK_BYTES; pass the same frontier and domain
-    lengths to two multiplications and their blocks line up entry for entry."""
-    table, sig = mult
-    domain_cols = sig[domain]
-    step = max(1, _CHUNK_BYTES // (16 * len(domain)))  # 2 * f * |domain| int64 codes
-    for lo in range(0, len(frontier), step):
-        block = frontier[lo : lo + step]
-        yield np.concatenate(
-            (table[block[:, None], domain_cols].ravel(), table[domain[:, None], sig[block]].ravel())
-        )
-
-
 def _greedy_generators(mult) -> list[int]:
     """A small generating set: every irreducible element (one that is not a
     product of any two elements) must be a generator; greedy absorption mops
     up whatever the irreducibles fail to reach.  Every column of T is some
-    element's, so the entries of T are exactly the products."""
+    element's, so the entries of T are exactly the products.  A round of
+    absorption gathers the new elements against the distinct scale columns
+    of the members, and the members against those of the new elements."""
     table, sig = mult
     n = len(sig)
     reducible = np.zeros(n, dtype=bool)
@@ -262,9 +328,14 @@ def _greedy_generators(mult) -> list[int]:
             inside[new] = True
             lo, size = size, size + len(new)
             members[lo:size] = new
-            new = np.empty(0, dtype=np.int32)
-            for z in _frontier_products(mult, members[lo:size], members[:size]):
-                new = np.union1d(new, z[~inside[z]])
+            fresh, known = members[lo:size], members[:size]
+            z = np.concatenate(
+                (
+                    table[fresh[:, None], _distinct(sig[known])].ravel(),
+                    table[known[:, None], _distinct(sig[fresh])].ravel(),
+                )
+            )
+            new = _distinct(z[~inside[z]])
         return size
 
     gens = np.flatnonzero(~reducible).tolist()
@@ -297,16 +368,16 @@ class _PartialIso:
         """Map the unassigned x to w and close under products, in frontier
         rounds: each round composes the elements the last round assigned with
         the whole domain, both ways, in the first semigroup and at their
-        images in the second.  Every proposed pair is forced, so the closure
-        is the unique homomorphic extension whatever the order; on any
-        conflict the map is restored and False returned."""
+        images in the second (_forced).  Every proposed pair is forced, so
+        the closure is the unique homomorphic extension whatever the order;
+        on any conflict the map is restored and False returned."""
         n = len(self.used_by)
         start = self.size
         codes = np.array([x * n + w], dtype=np.int64)
         while len(codes):
             xs, ws = np.divmod(codes, n)
             # a new image must be unused, used once, and of the same colour
-            taken = (self.used_by[ws] >= 0).any() or np.unique(ws).size != ws.size
+            taken = (self.used_by[ws] >= 0).any() or len(_distinct(ws)) != len(ws)
             if taken or (self.col1[xs] != self.col2[ws]).any():
                 self.undo(start)
                 return False
@@ -323,24 +394,29 @@ class _PartialIso:
     def _forced(self, lo: int) -> np.ndarray | None:
         """Sorted codes of the images w that products of domain[lo:size]
         with the domain force on unassigned elements x, or None when a
-        product contradicts phi or gets two images."""
+        product contradicts phi or gets two images.  A product f * d forces
+        (T1[f, sig1[d]], T2[phi[f], sig2[phi[d]]]), which depends on d only
+        through its scale pair (sig1[d], sig2[phi[d]]); so the frontier is
+        gathered against the distinct scale pairs of the domain, and the
+        domain against those of the frontier: (|F| + |D|) p entries for p
+        distinct pairs, not 2 |F| |D|."""
         n = len(self.used_by)
+        (t1, _), (t2, _) = self.mult1, self.mult2
         frontier, domain = self.domain[lo : self.size], self.domain[: self.size]
-        pending = np.empty(0, dtype=np.int64)
-        blocks = zip(
-            _frontier_products(self.mult1, frontier, domain),
-            _frontier_products(self.mult2, self.phi[frontier], self.phi[domain]),
-        )
-        for xs, ws in blocks:
-            xs, ws = np.divmod(np.unique(xs.astype(np.int64) * n + ws), n)
-            known = self.phi[xs]
-            assigned = known >= 0
-            if (known[assigned] != ws[assigned]).any():
-                return None
-            pending = np.union1d(pending, xs[~assigned] * n + ws[~assigned])
-            if (np.diff(pending // n) == 0).any():
-                return None
-        return pending
+        codes = []
+        for left, right in ((frontier, domain), (domain, frontier)):
+            c1, c2 = _scale_pairs(self.mult1, self.mult2, right, self.phi[right])
+            xs = t1[left[:, None], c1].ravel().astype(np.int64)
+            codes.append(xs * n + t2[self.phi[left][:, None], c2].ravel())
+        xs, ws = np.divmod(_distinct(np.concatenate(codes)), n)
+        known = self.phi[xs]
+        assigned = known >= 0
+        if (known[assigned] != ws[assigned]).any():
+            return None
+        xs, ws = xs[~assigned], ws[~assigned]
+        if (np.diff(xs) == 0).any():
+            return None
+        return xs * n + ws
 
     def undo(self, start: int) -> None:
         """Unassign everything assigned after the first start elements."""
@@ -359,18 +435,22 @@ def search_isomorphism(
     Both multiplications are scale-factored tables (T, sig), x * y =
     T[x, sig[y]] (_scale_table), built only after the size cap admits the
     search; no n x n table is built at all.  Every choice is closed under
-    products in frontier rounds (_PartialIso.extend), which gather the
-    forced images through both tables in bounded blocks and refuse any
-    conflict in whole arrays.  That closure is the unique homomorphic
-    extension of the chosen images, so neither it nor the node count depends
-    on the order in which products are examined.  The backtracking runs
-    over an explicit stack with one entry per open choice (position in the
-    generator order, untried images, domain size before the choice), and
-    generators whose image is already forced take no entry, so its depth is
-    bounded by the generating set, not by Python's recursion limit.  A
-    returned witness has been verified on all n^2 element pairs; a
-    not_isomorphic verdict means the colour-pruned search space was
-    exhausted, which is complete because colours are isomorphism-invariant.
+    products in frontier rounds (_PartialIso.extend) and any conflict is
+    refused in whole arrays.  A product of a frontier element with a domain
+    element depends on the latter only through its scale pair (its scale
+    column and that of its image), so a round gathers (|F| + |D|) p forced
+    pairs for the p distinct scale pairs, not 2 |F| |D|; p = s at every
+    witness measured.  That closure is the unique homomorphic extension of
+    the chosen images, so neither it nor the node count depends on the order
+    in which products are examined.  The backtracking runs over an explicit
+    stack with one entry per open choice (position in the generator order,
+    untried images, domain size before the choice), and generators whose
+    image is already forced take no entry, so its depth is bounded by the
+    generating set, not by Python's recursion limit.  A returned witness has
+    been verified on all n^2 element pairs, by one comparison of product
+    columns per distinct scale pair (_preserves_products); a not_isomorphic
+    verdict means the colour-pruned search space was exhausted, which is
+    complete because colours are isomorphism-invariant.
     """
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)

@@ -56,6 +56,7 @@ from commsem.isomorphism import (
     _preserves_products,
     _refine_colors,
     _scale_table,
+    _shared_colors,
 )
 from commsem.raw import RAW_ORACLE, SemigroupSummary, _commutator_tables
 
@@ -655,11 +656,47 @@ def reference_signatures(table: np.ndarray) -> np.ndarray:
 def reference_stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:
     """Reference for isomorphism._stamp on a full n x n table, in whole arrays:
     row x is col[x] followed by the sorted codes (col[y] * width + col[x*y])
-    * width + col[y*x] over all y."""
+    * width + col[y*x] over all y, each as often as it occurs (_stamp lists
+    the distinct codes and their counts instead)."""
     prod = col[table]
     combo = (col * width + prod) * width + prod.T
     combo.sort(axis=1)
     return np.column_stack([col, combo])
+
+
+def reference_refine_colors(table1: np.ndarray, table2: np.ndarray):
+    """Reference for isomorphism._refine_colors on full n x n tables: the
+    initial colours from reference_signatures, then rounds of
+    reference_stamp rows, each interned by _shared_colors.  Returns every
+    round's (col1, col2, count) and the refinement's answer: None once the
+    colour multisets separate, else the colours of the last round that
+    split a class."""
+    rounds = [_shared_colors(reference_signatures(table1), reference_signatures(table2))]
+    while True:
+        col1, col2, count = rounds[-1]
+        if (np.bincount(col1, minlength=count) != np.bincount(col2, minlength=count)).any():
+            return rounds, None
+        rounds.append(
+            _shared_colors(reference_stamp(table1, col1, count), reference_stamp(table2, col2, count))
+        )
+        if rounds[-1][2] == count:
+            return rounds, (col1, col2)
+
+
+def reference_preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
+    """Reference for isomorphism._preserves_products: whether x -> perm[x]
+    carries every product of mult1 to the product in mult2, checked on all
+    n^2 pairs (x, y) a block of rows x at a time, as the search's leaf check
+    once ran."""
+    t1, sig1 = mult1
+    t2, sig2 = mult2
+    image_cols = sig2[perm]
+    step = max(1, raw._CHUNK_BYTES // (4 * len(perm)))  # rows of int32 products
+    for lo in range(0, len(perm), step):
+        rows = slice(lo, lo + step)
+        if not np.array_equal(perm[t1[rows][:, sig1]], t2[perm[rows, None], image_cols]):
+            return False
+    return True
 
 
 def recursive_search_isomorphism(

@@ -157,16 +157,16 @@ def test_table_raw_verification(capsys):
     assert all(r["verified"] == "raw_verified" for r in rows)
 
 
-def test_raw_verification_does_not_import_numpy_ma():
-    # np.unique without return_index or return_inverse imports numpy.ma,
-    # 10-15 ms of every process that reaches it
+def _imports_numpy_ma(*argv: str) -> bool:
+    """Whether a fresh interpreter imports numpy.ma while main(argv) runs;
+    main must return 0."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     script = (
         "import contextlib, io, sys\n"
         "from commsem.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['table', '--from', '65', '--to', '65', '--verify', 'raw'])\n"
+        f"    code = main({list(argv)!r})\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
     done = subprocess.run(
@@ -175,7 +175,21 @@ def test_raw_verification_does_not_import_numpy_ma():
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
-    assert done.stdout.split() == [b"0", b"False"], done.stderr
+    code, imported = done.stdout.split()
+    assert code == b"0", done.stderr
+    return imported == b"True"
+
+
+def test_raw_verification_does_not_import_numpy_ma():
+    # np.unique without return_index or return_inverse imports numpy.ma,
+    # 10-15 ms of every process that reaches it
+    assert not _imports_numpy_ma("table", "--from", "65", "--to", "65", "--verify", "raw")
+
+
+def test_iso_search_does_not_import_numpy_ma():
+    # a search that extends partial maps and verifies a witness; np.union1d
+    # calls a plain np.unique too
+    assert not _imports_numpy_ma("iso", "--m", "10", "--m2", "5")
 
 
 def test_default_verify_level_drops_above_limit(capsys):

@@ -38,6 +38,8 @@ from support import (
     reference_mult_table,
     reference_signatures,
     recursive_search_isomorphism,
+    reference_preserves_products,
+    reference_refine_colors,
     reference_stamp,
     scalar_extend,
     scalar_monogenic_profile,
@@ -466,7 +468,43 @@ def test_stamp_rows_match_whole_table_reference(monkeypatch, m, side, chunk_byte
     rng = np.random.default_rng(m)
     for col, width in ((col, width), (rng.integers(0, len(t), len(t)), len(t))):
         rows = list(isomorphism._stamp((scaled, sig), col, width))
-        assert np.array_equal(np.array(rows), reference_stamp(t, col, width))
+        reference = reference_stamp(t, col, width)
+        # each stamp is col[x], the distinct codes, then their counts
+        for row, want in zip(rows, reference, strict=True):
+            codes, counts = np.split(row[1:], 2)
+            assert np.array_equal(np.concatenate([row[:1], np.repeat(codes, counts)]), want)
+        # so both induce one partition, and the same first-occurrence colours
+        got, _, got_count = isomorphism._shared_colors(rows, [])
+        want, _, want_count = isomorphism._shared_colors(reference, [])
+        assert np.array_equal(got, want) and got_count == want_count
+
+
+# the FACTORED_MODULI pairs, and two P vs L pairs whose refinement splits
+# classes over several stamp rounds
+REFINEMENT_CASES = [(m, "right", m, "left") for m in (15, 24, 55, 74, 95, 52, 100)] + [
+    (2 * p, side, p, side) for p in (13, 37) for side in ("right", "left")
+]
+
+
+@pytest.mark.parametrize("m1,side1,m2,side2", REFINEMENT_CASES)
+def test_refinement_rounds_match_whole_table_reference(monkeypatch, m1, side1, m2, side2):
+    rounds = []
+    shared = isomorphism._shared_colors
+
+    def recording(rows1, rows2):
+        rounds.append(shared(rows1, rows2))
+        return rounds[-1]
+
+    monkeypatch.setattr(isomorphism, "_shared_colors", recording)
+    mult1, mult2 = _table(m1, side1), _table(m2, side2)
+    got = isomorphism._refine_colors(mult1, mult2)
+    want_rounds, want = reference_refine_colors(*(scaled[:, sig] for scaled, sig in (mult1, mult2)))
+    assert len(rounds) == len(want_rounds)
+    for (col1, col2, count), (ref1, ref2, ref_count) in zip(rounds, want_rounds):
+        assert np.array_equal(col1, ref1) and np.array_equal(col2, ref2) and count == ref_count
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_monogenic_profiles_match_scalar_walk_on_arbitrary_tables():
@@ -537,11 +575,39 @@ def _witness_images(s1, s2):
     return [images[k] for k in sorted(s1.element_set)]
 
 
-def test_frontier_rounds_keep_every_block(monkeypatch):
+# P vs L at 20 and 100, and 74 vs 37
+LEAF_CASES = [(20, "right", 20, "left"), (74, "right", 37, "right"), (100, "right", 100, "left")]
+
+
+# a one-byte chunk compares one scale pair at a time
+@pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("m1,side1,m2,side2", LEAF_CASES)
+def test_leaf_check_matches_all_pairs_reference(monkeypatch, m1, side1, m2, side2, chunk_bytes):
+    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
+    s1 = close_pairs(side1, GroupParams.from_modulus(m1))
+    s2 = close_pairs(side2, GroupParams.from_modulus(m2))
+    witness = np.array(_witness_images(s1, s2), dtype=np.int32)
+    mult1, mult2 = _table(m1, side1), _table(m2, side2)
+    assert isomorphism._preserves_products(witness, mult1, mult2)
+    assert reference_preserves_products(witness, mult1, mult2)
+    # the witness with two images swapped, 200 times
+    rng = np.random.default_rng(m1)
+    verdicts = set()
+    for _ in range(200):
+        perm = witness.copy()
+        i, j = rng.choice(len(perm), 2, replace=False)
+        perm[[i, j]] = perm[[j, i]]
+        verdict = isomorphism._preserves_products(perm, mult1, mult2)
+        assert verdict == reference_preserves_products(perm, mult1, mult2)
+        verdicts.add(verdict)
+    assert False in verdicts
+
+
+def test_frontier_rounds_keep_every_block():
     # x = 0 and y = 1 are idempotents, x*y = 2, y*x = 3, 2*2 = 4, 3*3 = 5 and
-    # every other product is y.  With one frontier element per block, the
-    # round whose frontier is {2, 3} finds 4 and 5 in different blocks.
-    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", 1)
+    # every other product is y.  Every element is its own scale, so the
+    # round whose frontier is {2, 3} finds 4 and 5 through different scale
+    # pairs.
     rows = [[1] * 6 for _ in range(6)]
     for x, y, z in ((0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (2, 2, 4), (3, 3, 5)):
         rows[x][y] = z
@@ -630,10 +696,29 @@ def test_frontier_propagation_refuses_conflicts_within_one_round(rows1, rows2):
         assert partial.phi.tolist() == phi and partial.used_by.tolist() == used_by
 
 
-@pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
+def test_products_are_read_per_scale_pair_not_per_scale():
+    # in the left-zero semigroup x * y = x all three elements share one
+    # scale column, but under the identity their images have three columns
+    # of the second table, and only the column of 1 breaks 2 * 1 = 2; reading
+    # one column per scale of the first semigroup would miss it
+    rows1 = [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+    rows2 = [[0, 0, 0], [1, 1, 1], [2, 0, 2]]
+    mult1 = (np.array([[0], [1], [2]], dtype=np.int32), np.zeros(3, dtype=np.intp))
+    mult2 = _whole(np.array(rows2, dtype=np.int32))
+    cols = [0, 0, 0]
+    partial = isomorphism._PartialIso(mult1, mult2, np.array(cols), np.array(cols))
+    phi, used_by, domain = [-1] * 3, [-1] * 3, []
+    for x, expected in ((0, True), (1, True), (2, False)):
+        assert scalar_extend(rows1, rows2, cols, cols, phi, used_by, domain, x, x) is expected
+        assert partial.extend(x, x) is expected
+        assert partial.phi.tolist() == phi and partial.used_by.tolist() == used_by
+    identity = np.arange(3, dtype=np.int32)
+    assert not reference_preserves_products(identity, mult1, mult2)
+    assert not isomorphism._preserves_products(identity, mult1, mult2)
+
+
 @pytest.mark.parametrize("m,side", [(8, "right"), (12, "left"), (52, "right"), (26, "left")])
-def test_greedy_generators_generate_the_table(monkeypatch, m, side, chunk_bytes):
-    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
+def test_greedy_generators_generate_the_table(m, side):
     scaled, sig = _table(m, side)
     gens = isomorphism._greedy_generators((scaled, sig))
     t = scaled[:, sig]
