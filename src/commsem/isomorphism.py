@@ -14,10 +14,12 @@ refinement stamp counts, per scale, the y that share a key (sig[y], col[y],
 col[y * x]) in one sort of n x s keys, and reads col[x * y] once per key,
 not once per y.  Each choice of image is closed under products in
 semi-naive frontier rounds: a pair forced by f * d depends on d only
-through its scale pair (sig1[d], sig2[phi[d]]), so a round gathers the
-frontier against the distinct scale pairs of the domain and the domain
-against those of the frontier, in one semigroup and at the images in the
-other, and checks every forced pair in whole arrays before any is written.
+through its scale pair (sig1[d], sig2[phi[d]]), and the partial map keeps
+the distinct scale pairs of its domain up to date.  So a round gathers the
+frontier against all of those pairs and the older domain only against the
+pairs the frontier adds, |F| p + |D_old| p_new entries, in one semigroup and
+at the images in the other, and checks every forced pair in whole arrays
+before any is written.
 The leaf check compares one column pair per distinct scale pair (sig1[y],
 sig2[phi[y]]), which still covers all n^2 pairs (x, y).  Definite answers
 are sound (witnesses are verified on all n^2 pairs, refusals come from
@@ -71,9 +73,23 @@ class IsoStatus(Enum):
 
 @dataclass(frozen=True, slots=True)
 class IsoSearchResult:
+    """The verdict and the search nodes it took.  A found witness is kept
+    undecoded, as (keys1, m1, keys2, m2, image): the sorted keys of both
+    semigroups, their moduli, and the index image[x] of the image of keys1[x]
+    in keys2.  witness decodes it into CanonicalMaps on each read, since most
+    callers read only the verdict."""
+
     status: IsoStatus
-    witness: dict | None
     nodes: int
+    found: tuple[list[int], int, list[int], int, list[int]] | None = None
+
+    @property
+    def witness(self) -> dict[CanonicalMap, CanonicalMap] | None:
+        if self.found is None:
+            return None
+        keys1, m1, keys2, m2, image = self.found
+        decode = CanonicalMap.from_key
+        return {decode(keys1[x], m1): decode(keys2[w], m2) for x, w in enumerate(image)}
 
 
 def _check_iso_size(n: int) -> None:
@@ -312,8 +328,10 @@ def _greedy_generators(mult) -> list[int]:
     product of any two elements) must be a generator; greedy absorption mops
     up whatever the irreducibles fail to reach.  Every column of T is some
     element's, so the entries of T are exactly the products.  A round of
-    absorption gathers the new elements against the distinct scale columns
-    of the members, and the members against those of the new elements."""
+    absorption gathers the new elements against the scale columns of all
+    members, and the older members only against the columns the new
+    elements add: an older y times a new x of a scale some older x' has is
+    y * x', already a member."""
     table, sig = mult
     n = len(sig)
     reducible = np.zeros(n, dtype=bool)
@@ -321,6 +339,8 @@ def _greedy_generators(mult) -> list[int]:
     inside = np.zeros(n, dtype=bool)
     # members[:size] is the generated subsemigroup so far, in absorption order
     members = np.empty(n, dtype=np.int32)
+    # the scale columns of the members
+    has_scale = np.zeros(table.shape[1], dtype=bool)
 
     def absorb(new: np.ndarray, size: int) -> int:
         # semi-naive rounds: only products with a new element can be new
@@ -328,11 +348,13 @@ def _greedy_generators(mult) -> list[int]:
             inside[new] = True
             lo, size = size, size + len(new)
             members[lo:size] = new
-            fresh, known = members[lo:size], members[:size]
+            cols = sig[new]
+            added = _distinct(cols[~has_scale[cols]])
+            has_scale[added] = True
             z = np.concatenate(
                 (
-                    table[fresh[:, None], _distinct(sig[known])].ravel(),
-                    table[known[:, None], _distinct(sig[fresh])].ravel(),
+                    table[new[:, None], np.flatnonzero(has_scale)].ravel(),
+                    table[members[:lo, None], added].ravel(),
                 )
             )
             new = _distinct(z[~inside[z]])
@@ -355,7 +377,8 @@ class _PartialIso:
     domain is a subsemigroup and phi[x * y] = phi[x] * phi[y] on it.  Each
     multiplication is a scale-factored pair (T, sig), x * y = T[x, sig[y]]
     (_scale_table).  A pair (x, w) is coded as x * n2 + w, n2 the size of the
-    second semigroup."""
+    second semigroup, and a scale pair (c1, c2) as c1 * s2 + c2, s2 the
+    number of scale columns of the second table."""
 
     def __init__(self, mult1, mult2, col1: np.ndarray, col2: np.ndarray):
         self.mult1, self.mult2, self.col1, self.col2 = mult1, mult2, col1, col2
@@ -363,6 +386,11 @@ class _PartialIso:
         self.used_by = np.full(len(col2), -1, dtype=np.int32)
         # domain[:size] holds the assigned elements in assignment order
         self.domain, self.size = np.empty(len(col1), dtype=np.int32), 0
+        # pairs[:npairs] holds the distinct scale pairs (sig1[d], sig2[phi[d]])
+        # of the domain in first-appearance order, at most one per element;
+        # pairs_at[k] is npairs when a round began at domain size k
+        self.pairs, self.npairs = np.empty(len(col1), dtype=np.int64), 0
+        self.pairs_at = [0] * (len(col1) + 1)
 
     def extend(self, x: int, w: int) -> bool:
         """Map the unassigned x to w and close under products, in frontier
@@ -392,20 +420,34 @@ class _PartialIso:
         return True
 
     def _forced(self, lo: int) -> np.ndarray | None:
-        """Sorted codes of the images w that products of domain[lo:size]
-        with the domain force on unassigned elements x, or None when a
-        product contradicts phi or gets two images.  A product f * d forces
-        (T1[f, sig1[d]], T2[phi[f], sig2[phi[d]]]), which depends on d only
-        through its scale pair (sig1[d], sig2[phi[d]]); so the frontier is
-        gathered against the distinct scale pairs of the domain, and the
-        domain against those of the frontier: (|F| + |D|) p entries for p
-        distinct pairs, not 2 |F| |D|."""
+        """Sorted codes of the images w that products of the frontier
+        domain[lo:size] with the domain force on unassigned elements x, or
+        None when a product contradicts phi or gets two images.  A product
+        x * d forces (T1[x, sig1[d]], T2[phi[x], sig2[phi[d]]]), which
+        depends on d only through its scale pair (sig1[d], sig2[phi[d]]).
+        So the frontier is gathered against every scale pair of the domain,
+        and the older domain[:lo] only against the pairs the frontier adds:
+        for an older y and a frontier f whose pair some older d has, y * f
+        forces what y * d forced in an earlier round.  That is |F| p +
+        |D_old| p_new entries for p pairs, p_new of them new, and the pairs
+        are kept up to date, not sorted again from the whole domain."""
         n = len(self.used_by)
-        (t1, _), (t2, _) = self.mult1, self.mult2
-        frontier, domain = self.domain[lo : self.size], self.domain[: self.size]
+        (t1, sig1), (t2, sig2) = self.mult1, self.mult2
+        width = t2.shape[1]
+        frontier, older = self.domain[lo : self.size], self.domain[:lo]
+        self.pairs_at[lo] = had = self.npairs
+        old = self.pairs[:had]
+        new = _distinct(sig1[frontier].astype(np.int64) * width + sig2[self.phi[frontier]])
+        # drop the frontier's pairs the older domain has (new is sorted)
+        at = np.minimum(np.searchsorted(new, old), len(new) - 1)
+        fresh = np.ones(len(new), dtype=bool)
+        fresh[at[new[at] == old]] = False
+        new = new[fresh]
+        self.npairs = had + len(new)
+        self.pairs[had : self.npairs] = new
         codes = []
-        for left, right in ((frontier, domain), (domain, frontier)):
-            c1, c2 = _scale_pairs(self.mult1, self.mult2, right, self.phi[right])
+        for left, pairs in ((frontier, self.pairs[: self.npairs]), (older, new)):
+            c1, c2 = np.divmod(pairs, width)
             xs = t1[left[:, None], c1].ravel().astype(np.int64)
             codes.append(xs * n + t2[self.phi[left][:, None], c2].ravel())
         xs, ws = np.divmod(_distinct(np.concatenate(codes)), n)
@@ -419,8 +461,12 @@ class _PartialIso:
         return xs * n + ws
 
     def undo(self, start: int) -> None:
-        """Unassign everything assigned after the first start elements."""
+        """Unassign everything assigned after the first start elements;
+        start is a size the domain had between two rounds."""
         xs = self.domain[start : self.size]
+        if len(xs):
+            # a round began at start, so its record of the pairs is current
+            self.npairs = self.pairs_at[start]
         self.used_by[self.phi[xs]] = -1
         self.phi[xs] = -1
         self.size = start
@@ -431,20 +477,21 @@ def search_isomorphism(
 ) -> IsoSearchResult:
     """Decide whether two closed semigroups are isomorphic.
 
-    Backtracks over colour-compatible images of a generating set of s1.
-    Both multiplications are scale-factored tables (T, sig), x * y =
-    T[x, sig[y]] (_scale_table), built only after the size cap admits the
-    search; no n x n table is built at all.  Every choice is closed under
-    products in frontier rounds (_PartialIso.extend) and any conflict is
-    refused in whole arrays.  A product of a frontier element with a domain
-    element depends on the latter only through its scale pair (its scale
-    column and that of its image), so a round gathers (|F| + |D|) p forced
-    pairs for the p distinct scale pairs, not 2 |F| |D|; p = s at every
-    witness measured.  That closure is the unique homomorphic extension of
-    the chosen images, so neither it nor the node count depends on the order
-    in which products are examined.  The backtracking runs over an explicit
-    stack with one entry per open choice (position in the generator order,
-    untried images, domain size before the choice), and generators whose
+    Backtracks over colour-compatible images of a generating set of s1.  Both
+    multiplications are scale-factored tables (T, sig), x * y = T[x, sig[y]]
+    (_scale_table), built only after the size cap admits the search; no n x n
+    table is built at all.  Every choice is closed under products in frontier
+    rounds (_PartialIso.extend) and any conflict is refused in whole arrays.  A
+    product of a frontier element with a domain element depends on the latter
+    only through its scale pair (its scale column and that of its image), so a
+    round gathers the frontier against the p distinct scale pairs of the domain
+    and the older domain against the p_new pairs the frontier adds: |F| p +
+    |D_old| p_new forced pairs, not 2 |F| |D|; p = s at every witness measured.
+    That closure is the unique homomorphic extension of the chosen images, so
+    neither it nor the node count depends on the order in which products are
+    examined.  The backtracking runs over an explicit stack with one entry per
+    open choice (position in the generator order, the images still free when
+    the choice opened, domain size before the choice), and generators whose
     image is already forced take no entry, so its depth is bounded by the
     generating set, not by Python's recursion limit.  A returned witness has
     been verified on all n^2 element pairs, by one comparison of product
@@ -453,35 +500,33 @@ def search_isomorphism(
     complete because colours are isomorphism-invariant.
     """
     if s1.size != s2.size:
-        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
     e1 = canonicalized_elements(s1, GroupParams.from_modulus(s1.m))
     e2 = canonicalized_elements(s2, GroupParams.from_modulus(s2.m))
     n = len(e1)
 
-    def witness(image) -> dict[CanonicalMap, CanonicalMap]:
-        decode = CanonicalMap.from_key
-        k1, k2 = e1.tolist(), e2.tolist()
-        return {decode(k1[x], s1.m): decode(k2[w], s2.m) for x, w in enumerate(image)}
+    def witness(image: list[int]) -> tuple:
+        return e1.tolist(), s1.m, e2.tolist(), s2.m, image
 
     if s1.m == s2.m and np.array_equal(e1, e2):
         # same element set under the same composition rule: identity works
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, 0, witness(list(range(n))))
     _check_iso_size(n)
     mult1 = _scale_table(e1, s1.m, s1.side)
     mult2 = _scale_table(e2, s2.m, s2.side)
     colors = _refine_colors(mult1, mult2)
     if colors is None:
-        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
     col1, col2 = colors
     gens = _greedy_generators(mult1)
-    candidates: dict[int, list[int]] = {}
+    candidates: dict[int, np.ndarray] = {}
     for gi in gens:
         # refinement returned, so every colour of s1 also occurs in s2
         cands = np.flatnonzero(col2 == col1[gi])
         if s1.m == s2.m:
             # the same key first, then the rest in index order
             cands = cands[np.argsort(e2[cands] != e1[gi], kind="stable")]
-        candidates[gi] = cands.tolist()
+        candidates[gi] = cands
     # assign the most constraining generators first: a large left-ideal means
     # many forced images per assignment, so conflicts surface early
     t1, sig1 = mult1
@@ -498,21 +543,24 @@ def search_isomorphism(
         while k < len(order) and phi[order[k]] >= 0:
             k += 1
         if k < len(order):
-            stack.append((k, iter(candidates[order[k]]), partial.size))
+            # every undo(mark) restores used_by to its state now, so the
+            # images free now are exactly the ones each retry may take
+            cands = candidates[order[k]]
+            stack.append((k, iter(cands[used_by[cands] < 0].tolist()), partial.size))
         elif partial.size == n and _preserves_products(phi, mult1, mult2):
-            return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi.tolist()), nodes)
+            return IsoSearchResult(IsoStatus.ISOMORPHIC, nodes, witness(phi.tolist()))
         # advance the deepest open choice to its next unused image
         while stack:
             k, untried, mark = stack[-1]
             partial.undo(mark)
-            w = next((w for w in untried if used_by[w] < 0), None)
+            w = next(untried, None)
             if w is None:
                 stack.pop()
                 continue
             nodes += 1
             if nodes > budget:
-                return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)
+                return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, nodes)
             if partial.extend(order[k], w):
                 break
         if not stack:
-            return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, nodes)
+            return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, nodes)

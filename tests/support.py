@@ -50,6 +50,7 @@ from commsem.isomorphism import (
     IsoSearchResult,
     IsoStatus,
     _check_iso_size,
+    _distinct,
     _distinct_counts,
     _greedy_generators,
     _PartialIso,
@@ -699,6 +700,46 @@ def reference_preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
     return True
 
 
+def reference_greedy_generators(mult) -> list[int]:
+    """Reference for isomorphism._greedy_generators: the irreducible elements,
+    then greedy absorption, each round gathering the new elements against
+    the distinct scale columns of all members and all members against those
+    of the new elements, both sorted again from scratch, as the search once
+    did."""
+    table, sig = mult
+    n = len(sig)
+    reducible = np.zeros(n, dtype=bool)
+    reducible[table.ravel()] = True
+    inside = np.zeros(n, dtype=bool)
+    # members[:size] is the generated subsemigroup so far, in absorption order
+    members = np.empty(n, dtype=np.int32)
+
+    def absorb(new: np.ndarray, size: int) -> int:
+        while len(new):
+            inside[new] = True
+            lo, size = size, size + len(new)
+            members[lo:size] = new
+            fresh, known = members[lo:size], members[:size]
+            z = np.concatenate(
+                (
+                    table[fresh[:, None], _distinct(sig[known])].ravel(),
+                    table[known[:, None], _distinct(sig[fresh])].ravel(),
+                )
+            )
+            new = _distinct(z[~inside[z]])
+        return size
+
+    gens = np.flatnonzero(~reducible).tolist()
+    size = absorb(np.asarray(gens, dtype=np.int32), 0)
+    for x in range(n):
+        if size == n:
+            break
+        if not inside[x]:
+            gens.append(x)
+            size = absorb(np.array([x], dtype=np.int32), size)
+    return gens
+
+
 def recursive_search_isomorphism(
     s1: SemigroupSummary, s2: SemigroupSummary, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> IsoSearchResult:
@@ -707,25 +748,23 @@ def recursive_search_isomorphism(
     generator, so a generating set longer than the recursion limit raised
     RecursionError.  Same candidates, order and budget accounting."""
     if s1.size != s2.size:
-        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
     e1 = canonicalized_elements(s1, GroupParams.from_modulus(s1.m))
     e2 = canonicalized_elements(s2, GroupParams.from_modulus(s2.m))
     n = len(e1)
 
-    def witness(image) -> dict[CanonicalMap, CanonicalMap]:
-        decode = CanonicalMap.from_key
-        k1, k2 = e1.tolist(), e2.tolist()
-        return {decode(k1[x], s1.m): decode(k2[w], s2.m) for x, w in enumerate(image)}
+    def witness(image: list[int]) -> tuple:
+        return e1.tolist(), s1.m, e2.tolist(), s2.m, image
 
     if s1.m == s2.m and np.array_equal(e1, e2):
         # same element set under the same composition rule: identity works
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(range(n)), 0)
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, 0, witness(list(range(n))))
     _check_iso_size(n)
     mult1 = _scale_table(e1, s1.m, s1.side)
     mult2 = _scale_table(e2, s2.m, s2.side)
     colors = _refine_colors(mult1, mult2)
     if colors is None:
-        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, 0)
+        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
     col1, col2 = colors
     gens = _greedy_generators(mult1)
     candidates: dict[int, list[int]] = {}
@@ -773,7 +812,7 @@ def recursive_search_isomorphism(
     found = dfs(0)
     del dfs  # dfs holds itself in a closure cell; the cycle would keep the tables alive
     if found:
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, witness(phi.tolist()), nodes)
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, nodes, witness(phi.tolist()))
     if budget_hit:
-        return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, None, nodes)
-    return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, None, nodes)
+        return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, nodes)
+    return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, nodes)

@@ -35,6 +35,7 @@ from support import (
     reference_close_pairs,
     reference_close_raw,
     reference_close_tables,
+    reference_greedy_generators,
     reference_mult_table,
     reference_signatures,
     recursive_search_isomorphism,
@@ -667,6 +668,76 @@ def test_frontier_propagation_matches_scalar_reference(
     assert (witness is None) == (m1 == 12)
 
 
+def _assert_pairs_tracked(partial):
+    """The scale pairs a _PartialIso keeps are those of its domain, each once."""
+    domain = partial.domain[: partial.size]
+    c1, c2 = isomorphism._scale_pairs(partial.mult1, partial.mult2, domain, partial.phi[domain])
+    width = partial.mult2[0].shape[1]
+    assert np.sort(partial.pairs[: partial.npairs]).tolist() == (c1 * width + c2).tolist()
+
+
+@pytest.mark.parametrize("m1,side1,m2,side2", PROPAGATION_CASES)
+def test_tracked_scale_pairs_match_recomputation(m1, side1, m2, side2):
+    mult1, mult2 = _table(m1, side1), _table(m2, side2)
+    same_size = len(mult1[1]) == len(mult2[1])
+    colors = isomorphism._refine_colors(mult1, mult2) if same_size else None
+    if colors is None:
+        # the idempotent flag is invariant too, and keeps the colour check live
+        colors = tuple(
+            t[np.arange(len(sig)), sig] == np.arange(len(sig)) for t, sig in (mult1, mult2)
+        )
+    col1, col2 = colors
+    gens = isomorphism._greedy_generators(mult1)
+    rng = random.Random(f"pairs{m1}{side1}{m2}{side2}")
+    for _ in range(10):
+        partial = isomorphism._PartialIso(mult1, mult2, col1, col2)
+        # sizes between extend calls, the only sizes the search undoes to
+        marks = [0]
+        for _ in range(40):
+            if len(marks) > 1 and rng.random() < 0.3:
+                del marks[rng.randrange(1, len(marks)) :]
+                partial.undo(marks[-1])
+            else:
+                unmapped = np.flatnonzero(partial.phi < 0).tolist()
+                if not unmapped:
+                    break
+                x = rng.choice([x for x in gens if partial.phi[x] < 0] or unmapped)
+                free_w = np.flatnonzero(partial.used_by < 0)
+                alike = free_w[col2[free_w] == col1[x]].tolist()
+                w = rng.choice(alike if alike and rng.random() < 0.9 else free_w.tolist())
+                if partial.extend(x, w):
+                    marks.append(partial.size)
+            _assert_pairs_tracked(partial)
+
+
+def test_tracked_scale_pairs_survive_deep_backtracking(monkeypatch):
+    # with one colour for every element the search backtracks through many
+    # extends and undos; the pairs must match the domain after each
+    def one_colour(mult1, mult2):
+        return np.zeros(len(mult1[0]), dtype=np.int64), np.zeros(len(mult2[0]), dtype=np.int64)
+
+    calls = []
+
+    class Checked(isomorphism._PartialIso):
+        def extend(self, x, w):
+            ok = super().extend(x, w)
+            _assert_pairs_tracked(self)
+            calls.append(ok)
+            return ok
+
+        def undo(self, start):
+            super().undo(start)
+            _assert_pairs_tracked(self)
+
+    monkeypatch.setattr(isomorphism, "_refine_colors", one_colour)
+    monkeypatch.setattr(isomorphism, "_PartialIso", Checked)
+    for m1, side1, m2, side2 in ((9, "right", 24, "left"), (10, "left", 5, "right")):
+        s1 = close_pairs(side1, GroupParams.from_modulus(m1))
+        s2 = close_pairs(side2, GroupParams.from_modulus(m2))
+        search_isomorphism(s1, s2)
+    assert True in calls and False in calls
+
+
 # x = 0 and y = 1 are idempotents; after y -> y, mapping x -> x forces the
 # images of x*y and y*x in one round.  First: x*y and y*x are distinct
 # absorbing elements, both forced onto the one absorbing image.  Second: x*y
@@ -736,6 +807,31 @@ def test_greedy_generators_generate_the_table(m, side):
     irreducible = sorted(set(range(len(t))) - set(t.ravel().tolist()))
     assert gens[: len(irreducible)] == irreducible
     assert len(set(gens)) == len(gens)
+
+
+# every table of PROPAGATION_CASES
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("m", [5, 7, 8, 10, 12, 13, 14, 20, 26, 52])
+def test_greedy_generators_match_reference(m, side):
+    mult = _table(m, side)
+    assert isomorphism._greedy_generators(mult) == reference_greedy_generators(mult)
+
+
+def test_search_finds_the_witness_at_404_with_the_cap_lifted(monkeypatch):
+    # P(D_404) and L(D_404) have 10504 elements each, above the cap; lifted
+    # for this one case, the search backtracks through 2058 nodes to a
+    # witness that must hold on all n^2 pairs
+    g = GroupParams.from_modulus(404)
+    s1, s2 = close_pairs("right", g), close_pairs("left", g)
+    assert s1.size == s2.size == 10504 > isomorphism.ISO_ELEMENT_LIMIT
+    monkeypatch.setattr(isomorphism, "ISO_ELEMENT_LIMIT", s1.size)
+    res = search_isomorphism(s1, s2)
+    assert (res.status, res.nodes) == (IsoStatus.ISOMORPHIC, 2058)
+    position = {k: i for i, k in enumerate(s2.elements.tolist())}
+    images = {f.key: position[h.key] for f, h in res.witness.items()}
+    perm = np.array([images[k] for k in s1.elements.tolist()], dtype=np.int32)
+    assert sorted(perm.tolist()) == list(range(s1.size))
+    assert reference_preserves_products(perm, _table(404, "right"), _table(404, "left"))
 
 
 def test_pairs_bound():
