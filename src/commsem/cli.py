@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .dihedral import SIDES, GroupParams
 from .errors import ParameterError, ResourceLimitError
 from .isomorphism import DEFAULT_SEARCH_BUDGET, IsoStatus, search_isomorphism, verify_iso_map
 from .modular import is_odd_prime, orbit_profile
+from .mumaps import CanonicalMap
 from .orders import (
     doubling_preserves_orders,
     gupta_criterion,
@@ -97,9 +98,18 @@ def build_row(m: int, verify_level: str) -> TableRow:
                         f"m={m} side={side}: formula value {formula[side]} != "
                         f"raw-oracle value {raw.size}"
                     )
-                if not np.array_equal(canonicalized_elements(raw, g), pairs[side].elements):
+                raw_keys = canonicalized_elements(raw, g)
+                pair_keys = pairs[side].elements
+                if not np.array_equal(raw_keys, pair_keys):
+                    # sorted, duplicate-free and both of the formula's size: where
+                    # they first differ, the smaller key is in one set only
+                    i = np.flatnonzero(raw_keys != pair_keys)[0]
+                    key, only = min((int(raw_keys[i]), "raw"), (int(pair_keys[i]), "pair"))
                     raise VerificationFailure(
-                        f"m={m} side={side}: raw-oracle element set differs from pair oracle"
+                        f"m={m} side={side} stage=raw_vs_pairs: raw-oracle element set "
+                        f"({len(raw_keys)} keys) differs from pair oracle ({len(pair_keys)} "
+                        f"keys); key {key} ({CanonicalMap.from_key(key, m)}) is only in the "
+                        f"{only} oracle"
                     )
             verified = "raw_verified"
     return TableRow(
@@ -119,21 +129,27 @@ def _meta_lines(args_label: str) -> list[str]:
     return [f"# generator: commsem {__version__}", f"# command: {args_label}"]
 
 
+def _record(row: TableRow) -> dict:
+    """The row's fields by column name, in column order.  The values are read,
+    not copied: dataclasses.asdict would deep-copy every one."""
+    return {name: getattr(row, name) for name in CSV_COLUMNS}
+
+
 def _emit_rows(rows: list[TableRow], fmt: str, meta: bool, args_label: str) -> str:
     if fmt == "csv":
         out = io.StringIO()
         if meta:
             for line in _meta_lines(args_label):
                 out.write(line + "\n")
-        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for row in rows:
-            rec = asdict(row)
-            rec["iso_gupta"] = "true" if rec["iso_gupta"] else "false"
-            writer.writerow(rec)
+            rec = _record(row)
+            rec["iso_gupta"] = "true" if row.iso_gupta else "false"
+            writer.writerow(rec.values())
         return out.getvalue()
     if fmt == "json":
-        payload: object = [asdict(row) for row in rows]
+        payload: object = [_record(row) for row in rows]
         if meta:
             payload = {
                 "meta": {"generator": f"commsem {__version__}", "command": args_label},
@@ -370,6 +386,7 @@ def _cmd_verify_claims(_args) -> int:
 
 
 def build_parser() -> _Parser:
+    """A fresh parser of every subcommand; main builds one and reuses it."""
     parser = _Parser(prog="commsem", description=__doc__)
     parser.add_argument("--version", action="version", version=f"commsem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -378,7 +395,6 @@ def build_parser() -> _Parser:
     p_order.add_argument("--m", type=int, required=True)
     p_order.add_argument("--side", choices=("right", "left", "both"), default="both")
     p_order.add_argument("--format", choices=("text", "json"), default="text")
-    p_order.set_defaults(func=_cmd_order)
 
     p_table = sub.add_parser("table", help="order table over a modulus range")
     p_table.add_argument("--from", dest="start_m", type=int, required=True)
@@ -386,43 +402,49 @@ def build_parser() -> _Parser:
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.add_argument("--verify", choices=("none", "pairs", "raw"), default=None)
     p_table.add_argument("--meta", action="store_true")
-    p_table.set_defaults(func=_cmd_table)
 
     p_dec = sub.add_parser("decompose", help="disjoint container cover of one side")
     p_dec.add_argument("--m", type=int, required=True)
     p_dec.add_argument("--side", choices=("right", "left"), default="right")
     p_dec.add_argument("--format", choices=("text", "json"), default="text")
-    p_dec.set_defaults(func=_cmd_decompose)
 
     p_cs = sub.add_parser("central-series", help="centre orders up to stabilization")
     p_cs.add_argument("--m", type=int, required=True)
     p_cs.add_argument("--format", choices=("text", "json"), default="text")
-    p_cs.set_defaults(func=_cmd_central_series)
 
     p_orbit = sub.add_parser("orbit", help="index/period/order of -2 and 2 mod m")
     p_orbit.add_argument("--m", type=int, required=True)
     p_orbit.add_argument("--x", type=int, default=None)
     p_orbit.add_argument("--format", choices=("text", "json"), default="text")
-    p_orbit.set_defaults(func=_cmd_orbit)
 
     p_iso = sub.add_parser("iso", help="isomorphism search between semigroups")
     p_iso.add_argument("--m", type=int, required=True)
     p_iso.add_argument("--m2", type=int, default=None)
     p_iso.add_argument("--side", choices=("right", "left", "both"), default=None)
     p_iso.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p_iso.set_defaults(func=_cmd_iso)
 
-    p_claims = sub.add_parser("verify-claims", help="run the counterexample suite")
-    p_claims.set_defaults(func=_cmd_verify_claims)
+    sub.add_parser("verify-claims", help="run the counterexample suite")
 
     return parser
 
 
+_parser: _Parser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit status.
+
+    main may be called repeatedly in one process.  The first call builds the
+    parser and later calls reuse it, so a call pays only for its own command.
+    The parser holds no functions: each call looks up its command's _cmd_*
+    function by name when it runs, so a replaced _cmd_* takes effect.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser.parse_args(argv)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (UsageError, ParameterError, ResourceLimitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

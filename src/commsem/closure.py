@@ -58,7 +58,9 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     (_scale_closure; at most m residues).  Each scaled generator marks its key
     in one bool bitmap of m * shift_modulus(m) entries, a block of W at a time
     so no temporary exceeds _CHUNK_BYTES; the marked keys, read in order, are
-    the sorted elements.
+    the sorted elements.  The G.W scatter runs in int32: every key and every
+    product scale * w and shift * w is below m * m <= 4096 * 4096 = 2**24 < 2**31
+    for m <= PAIRS_MODULUS_LIMIT.
     """
     check_side(side)
     if g.m > PAIRS_MODULUS_LIMIT:
@@ -71,10 +73,10 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     r = np.arange(m, dtype=np.int64)
     for s in (0, 1):
         seen[sign * beta(s) % m * sm + sign * r * alpha(s) % sm] = True
-    gens = np.flatnonzero(seen)
+    gens = np.flatnonzero(seen).astype(np.int32)
     gen_scales, gen_shifts = np.divmod(gens, sm)
-    scales = np.array(_scale_closure(gen_scales.tolist(), m), dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // (8 * len(gens)))  # scales whose int64 keys fit
+    scales = np.array(_scale_closure(gen_scales.tolist(), m), dtype=np.int32)
+    step = max(1, _CHUNK_BYTES // (4 * len(gens)))  # scales whose int32 keys fit
     for lo in range(0, len(scales), step):
         w = scales[lo : lo + step, None]
         seen[gen_scales * w % m * sm + gen_shifts * w % sm] = True

@@ -224,6 +224,85 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     assert "m=8" in err and "side=right" in err and "10" in err and "1" in err
 
 
+def test_raw_element_set_mismatch_names_sizes_and_key(capsys, monkeypatch):
+    real_close_pairs = cli.close_pairs
+    keys = real_close_pairs("right", cli.GroupParams.from_modulus(8)).elements
+    missing = int(np.setdiff1d(np.arange(keys[-1]), keys)[0])  # smallest non-member
+
+    def one_key_changed(side, g):
+        # the right size, with the largest key swapped for `missing`; the right
+        # side is checked first
+        summary = real_close_pairs(side, g)
+        changed = np.sort(np.append(summary.elements[:-1], missing))
+        return SemigroupSummary(g.m, side, summary.generator_count, summary.oracle, changed)
+
+    monkeypatch.setattr(cli, "close_pairs", one_key_changed)
+    code, out, err = run_cli(capsys, "table", "--from", "8", "--to", "8", "--verify", "raw")
+    assert code == 2 and out == ""
+    assert err == (
+        "verification failure: m=8 side=right stage=raw_vs_pairs: raw-oracle element set "
+        f"(10 keys) differs from pair oracle (10 keys); key {missing} "
+        f"({cli.CanonicalMap.from_key(missing, 8)}) is only in the pair oracle\n"
+    )
+
+
+def _main_output(capsys, argv):
+    """(exit status, stdout, stderr) of main(argv), a SystemExit caught."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch):
+    calls = [
+        ("table", "--from", "5"),
+        ("--version",),
+        ("table", "--from", "3", "--to", "20", "--format", "csv"),
+        ("iso", "--m", "15"),
+    ]
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = [_main_output(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(_main_output(capsys, argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, ("SystemExit", 0), 0, 0]
+    assert "--to" in reused[0][2] and reused[1][1] == f"commsem {cli.__version__}\n"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    builds = []
+    real_build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return real_build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv in (("order", "--m", "8"), ("table", "--from", "2", "--to", "3"), ("orbit", "--m", "7")):
+        run_cli(capsys, *argv)
+    assert len(builds) == 1
+
+
+def test_main_runs_a_replaced_command(capsys, monkeypatch):
+    cli.main(["order", "--m", "8"])  # the parser is built before the replacement
+    capsys.readouterr()
+    seen = []
+
+    def replaced(args):
+        seen.append(args.end_m)
+        return 7
+
+    monkeypatch.setattr(cli, "_cmd_table", replaced)
+    code, out, _ = run_cli(capsys, "table", "--from", "3", "--to", "9")
+    assert (code, out, seen) == (7, "", [9])
+
+
 def test_decompose_command(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--m", "8", "--side", "right")
     assert code == 0
