@@ -6,17 +6,17 @@ the group itself and the errors.  close_pairs (closure.py) closes canonical
 (scale, shift) pairs under the composition rule.  The two must agree
 wherever both run, which is the central correctness check of the package.
 
-close_raw runs a worklist that composes known tables with generators only:
-every product of generators associates left to right, so extending by one
-right factor at a time reaches the whole generated subsemigroup.  Every
-product of two or more generators ends in a generator, so its image lies in
-U, the union of the generators' images, and "t then g" reads g on U only:
-generators that agree on U give equal products with every known table, and
-one right factor per class of them suffices (a fact about any transformation
-semigroup, in the spirit of Froidure and Pin, checked on the literal tables).
-It runs in frontier rounds of whole numpy arrays, in chunks of bounded size,
-and deduplicates exactly: a fingerprint only proposes which known table a
-product equals, and the two are then compared in full.
+close_raw closes the tables as G u G.W, the raw twin of close_pairs, by one
+fact about any transformation semigroup (in the spirit of Froidure and Pin):
+every generator maps into U, the union of the generators' images, and so
+maps U into U.  A product g0 g1 ... gk ("g0 then g1 ... then gk") therefore
+reads g1 ... gk on U only, and there it is the product of the restrictions
+g1|U ... gk|U.  The closure is the generators G and every "g then w" for g
+in G and w in W, the semigroup the restrictions generate.  W is small (at
+most 111 tables of |U| entries for m <= 128) and is closed by a worklist
+over its tables as bytes; G.W is composed a bounded block of W at a time.
+Dedup is exact: each table is one void scalar, so sorting and searching
+compare whole tables byte for byte.
 
 Each oracle holds its elements in one read-only numpy array
 (SemigroupSummary): sorted CanonicalMap keys for the pair oracle, and the
@@ -30,31 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dihedral import GroupParams, cayley_table, check_side
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ResourceLimitError
 
 RAW_MODULUS_LIMIT = 128
 
 RAW_ORACLE = "raw_tables"
 PAIRS_ORACLE = "mu_pairs"
 
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 mix of each uint64 in x (arithmetic wraps mod 2**64)."""
-    x = x * np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-# A raw table holds element indices below 2m <= 2 * RAW_MODULUS_LIMIT = 256,
-# so it fits uint8, and its fingerprint sum_x w[x] * t[x] over at most 256
-# entries with integer weights below 2**37 stays below 2**53, where float64
-# sums are exact in any order.  The weights are the top 37 bits of a
-# splitmix64 hash: unlike a linear hash of x, they leave distinct tables to
-# collide only by chance.
-_FINGERPRINT_WEIGHTS = (
-    _splitmix64(np.arange(1, 2 * RAW_MODULUS_LIMIT + 1, dtype=np.uint64)) >> np.uint64(27)
-).astype(np.float64)
 # bytes in one temporary array of a chunked numpy step
 _CHUNK_BYTES = 1 << 20
 
@@ -105,92 +87,73 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
 
     The generators are the distinct commutator tables, looked up in the
     group's Cayley table; the closure is every product of one or more of
-    them (_close_tables).  Each stored table is a generator or ends in one,
-    so its image lies in U, the union of the generators' images, and the
-    rounds compose it with one generator per class of generators that agree
-    on U.  Nothing here knows about map parameters.
+    them, G u G.W (_close_tables).  Nothing here knows about map parameters.
     """
     check_side(side)
     if g.m > RAW_MODULUS_LIMIT:
         raise ResourceLimitError(f"raw closure limited to m <= {RAW_MODULUS_LIMIT}")
-    collision = f"m={g.m} side={side} stage=close_raw: distinct tables share a fingerprint"
-    # return_index keeps np.unique on its sorting path, which does not import numpy.ma
-    gens = np.unique(_commutator_tables(side, g).astype(np.uint8), axis=0, return_index=True)[0]
-    elements = _close_tables(gens, collision).astype(np.int16)
+    tables = _commutator_tables(side, g).astype(np.uint8)
+    gens = _distinct_rows(tables).view(np.uint8).reshape(-1, tables.shape[1])
+    elements = _close_tables(gens).astype(np.int16)
     return SemigroupSummary(g.m, side, len(gens), RAW_ORACLE, elements)
 
 
-def _close_tables(gens: np.ndarray, collision: str) -> np.ndarray:
-    """Every product of one or more of the distinct uint8 tables gens, one
-    table per row, in no particular order.
+def _distinct_rows(tables: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D uint8 array in byte order, each as one
+    void scalar, so that sorting, comparing and searching read whole rows
+    byte for byte."""
+    tables = np.ascontiguousarray(tables)
+    # a sort and a neighbour mask: a plain np.unique imports numpy.ma
+    rows = np.sort(tables.view(f"V{tables.shape[1]}").ravel())
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = rows[1:] != rows[:-1]
+    return rows[keep]
 
-    The generators seed the store.  Every table stored, a generator or a
-    product ending in one, maps into U, the union of the generators' images,
-    and "t then g" reads g on U only, so each frontier round composes every
-    table found in the round before with one representative per class of
-    gens[:, U], a bounded chunk of frontier tables at a time.  Dedup is by
-    table content and exact: a linear fingerprint proposes the one known
-    table a product may equal, every product is compared with that table in
-    full, and two distinct tables with one fingerprint raise
-    ConsistencyError(collision) rather than merge.
+
+def _close_tables(gens: np.ndarray) -> np.ndarray:
+    """Every product of one or more of the distinct uint8 tables gens, one
+    table per row, in byte order.
+
+    Every generator maps into U, the union of the generators' images, so the
+    products are G u G.W: the generators, and "g then w" for every generator
+    g and every w in W, the semigroup generated by the restrictions gens[:, U].
+    W is closed by a worklist over its tables as bytes, each entry a position
+    in U: "w then h" is w.translate(h), since (w then h)[a] = h[w[a]].  G.W is
+    composed a block of W at a time, each block's products within
+    _CHUNK_BYTES, and merged into the sorted store of distinct tables.
     """
     k, n = gens.shape
-    weights = _FINGERPRINT_WEIGHTS[:n]
     u = np.flatnonzero(np.bincount(gens.ravel(), minlength=n))
-    reps = gens[np.unique(gens[:, u], axis=0, return_index=True)[1]]
-    r = len(reps)
-    images = np.ascontiguousarray(reps.T)  # images[y, j] = reps[j][y]
-    images_f = images.astype(np.float64)
-    # store[:count] holds every table found so far; known_fp is sorted, ends
-    # in an infinite sentinel, and known_fp[i] belongs to store row known_row[i]
-    store, count = gens.copy(), k
-    gen_fp = gens.astype(np.float64) @ weights
-    order = np.argsort(gen_fp)
-    known_fp, known_row = np.append(gen_fp[order], np.inf), np.append(order, -1)
-    if (known_fp[1:] == known_fp[:-1]).any():
-        raise ConsistencyError(collision)
-    step = max(1, _CHUNK_BYTES // (r * n))  # frontier tables whose uint8 products fit
-    # the chunk-sized arrays are allocated once: megabyte temporaries freed
-    # after every chunk can go back to the operating system and fault in anew
-    products_buf = np.empty((step, n, r), dtype=np.uint8)
-    matched_buf = np.empty((step * r, n), dtype=np.uint8)
-    equal_buf = np.empty((step, n, r), dtype=bool)
-    frontier = store
-    while len(frontier):
-        round_start = count
-        for lo in range(0, len(frontier), step):
-            chunk = frontier[lo : lo + step].astype(np.intp)
-            f = len(chunk)
-            # products[i, x, j] = (chunk[i] then reps[j])(x) = reps[j][chunk[i][x]];
-            # the indices are in range, and "clip" lets take write out unbuffered
-            products = np.take(images, chunk, axis=0, out=products_buf[:f], mode="clip")
-            # its fingerprint is sum_y spread[i, y] * reps[j][y], spread[i, y]
-            # being the total weight of the x with chunk[i][x] = y
-            spread = np.bincount(
-                (np.arange(f)[:, None] * n + chunk).ravel(),
-                weights=np.tile(weights, f),
-                minlength=f * n,
-            )
-            product_fp = np.matmul(spread.reshape(f, 1, n), images_f).ravel()
-            uniq, first, which = np.unique(product_fp, return_index=True, return_inverse=True)
-            pos = np.searchsorted(known_fp, uniq)
-            match = known_row[pos]
-            new = np.flatnonzero(known_fp[pos] != uniq)
-            if len(new):
-                if count + len(new) > len(store):
-                    grown = np.empty((2 * (count + len(new)), n), dtype=np.uint8)
-                    grown[:count] = store[:count]
-                    store = grown
-                i, j = np.divmod(first[new], r)
-                store[count : count + len(new)] = products[i, :, j]
-                match[new] = np.arange(count, count + len(new))
-                known_fp = np.insert(known_fp, pos[new], uniq[new])
-                known_row = np.insert(known_row, pos[new], match[new])
-                count += len(new)
-            # the fingerprint only proposed the match; the tables must agree
-            matched = np.take(store, match[which], axis=0, out=matched_buf[: f * r], mode="clip")
-            equal = np.equal(products, matched.reshape(f, r, n).transpose(0, 2, 1), out=equal_buf[:f])
-            if not equal.all():
-                raise ConsistencyError(collision)
-        frontier = store[round_start:count]
-    return store[:count]
+    position = np.zeros(n, dtype=np.uint8)  # position[u[a]] = a
+    position[u] = np.arange(len(u))
+    restrictions = {t.tobytes() for t in position[gens[:, u]]}
+    translations = [h.ljust(256, b"\0") for h in restrictions]
+    w_known = set(restrictions)
+    stack = list(w_known)
+    while stack:
+        w = stack.pop()
+        for h in translations:
+            product = w.translate(h)
+            if product not in w_known:
+                w_known.add(product)
+                stack.append(product)
+    # each w of W as the images of the points of U, sorted so that the
+    # blocks below do not depend on the order of a set
+    w_positions = np.frombuffer(b"".join(sorted(w_known)), dtype=np.uint8)
+    w_images = u.astype(np.uint8)[w_positions.reshape(-1, len(u))]
+    store = _distinct_rows(gens)
+    index = gens.astype(np.intp)
+    step = max(1, _CHUNK_BYTES // (k * n))  # tables of W whose uint8 products fit
+    # a block of W as n-entry tables, which the products read on U only
+    full = np.zeros((min(step, len(w_images)), n), dtype=np.uint8)
+    for lo in range(0, len(w_images), step):
+        block = w_images[lo : lo + step]
+        full[: len(block), u] = block
+        # products[i, j, x] = (gens[j] then block[i])(x) = block[i][gens[j][x]]
+        products = np.take(full[: len(block)], index, axis=1)
+        found = _distinct_rows(products.reshape(-1, n))
+        at = np.searchsorted(store, found)
+        new = at == len(store)
+        new[~new] = store[at[~new]] != found[~new]
+        store = np.insert(store, at[new], found[new])
+    return store.view(np.uint8).reshape(-1, n)

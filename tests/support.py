@@ -558,6 +558,23 @@ def reference_close_tables(gens) -> frozenset[tuple[int, ...]]:
     return frozenset(known)
 
 
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 mix of each uint64 in x (arithmetic wraps mod 2**64)."""
+    x = x * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+# reference_close_raw's fingerprint weights: a raw table has at most
+# 2 * RAW_MODULUS_LIMIT = 256 entries below 256, and with integer weights
+# below 2**37 (the top 37 bits of a splitmix64 hash) every fingerprint
+# sum_x w[x] * t[x] stays below 2**53, where float64 sums are exact
+_REFERENCE_WEIGHTS = (
+    _splitmix64(np.arange(1, 2 * raw.RAW_MODULUS_LIMIT + 1, dtype=np.uint64)) >> np.uint64(27)
+).astype(np.float64)
+
+
 def reference_close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     """Reference for raw.close_raw: the closure as it once ran, composing
     every frontier table with every distinct generator from the identity on,
@@ -565,7 +582,7 @@ def reference_close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     collision = f"m={g.m} side={side} stage=close_raw: distinct tables share a fingerprint"
     gens = np.unique(_commutator_tables(side, g).astype(np.uint8), axis=0)
     k, n = gens.shape
-    weights = raw._FINGERPRINT_WEIGHTS[:n]
+    weights = _REFERENCE_WEIGHTS[:n]
     images = np.ascontiguousarray(gens.T)  # images[y, j] = gens[j][y]
     images_f = images.astype(np.float64)
     # store[:count] holds every table found so far; known_fp is sorted, ends
