@@ -8,18 +8,22 @@ multiplication is an n x s int32 table T over the s distinct scales plus
 each element's scale column sig, with x * y = T[x, sig[y]] (_scale_table).
 
 Every step past the table is factored through scales too, so none does
-O(n^2) work.  The initial colours (monogenic index and period, idempotency,
-row and column spans) come from T in whole-array rounds.  A colour
-refinement stamp counts, per scale, the y that share a key (sig[y], col[y],
-col[y * x]) in one sort of n x s keys, and reads col[x * y] once per key,
-not once per y.  Each choice of image is closed under products in
-semi-naive frontier rounds: a pair forced by f * d depends on d only
-through its scale pair (sig1[d], sig2[phi[d]]), and the partial map keeps
-the distinct scale pairs of its domain up to date.  So a round gathers the
-frontier against all of those pairs and the older domain only against the
-pairs the frontier adds, |F| p + |D_old| p_new entries, in one semigroup and
-at the images in the other, and checks every forced pair in whole arrays
-before any is written.
+O(n^2) work.  Colour refinement first compares the row spans of the two
+tables, one sort of T each, and refutes the pair there when their multisets
+differ, before the other initial colours (monogenic index and period,
+idempotency, column span) are computed in whole-array rounds.  The stamp of
+x depends on x only through its row type: its scale, its colour and the
+colours of its products x * y.  So each round finds the distinct row types
+in one sort, counts per scale the types that share a key (sig[y], col[y],
+col[y * x]), weighted by their elements, reads col[x * y] once per key, and
+interns one stamp per type, not per element.  Each choice of image is
+closed under products in semi-naive frontier rounds: a pair forced by f * d
+depends on d only through its scale pair (sig1[d], sig2[phi[d]]), and the
+partial map keeps the distinct scale pairs of its domain up to date.  So a
+round gathers the frontier against all of those pairs and the older domain
+only against the pairs the frontier adds, |F| p + |D_old| p_new entries, in
+one semigroup and at the images in the other, and checks every forced pair
+in whole arrays before any is written.
 The leaf check compares one column pair per distinct scale pair (sig1[y],
 sig2[phi[y]]), which still covers all n^2 pairs (x, y).  Definite answers
 are sound (witnesses are verified on all n^2 pairs, refusals come from
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -211,59 +215,102 @@ def _distinct_counts(table: np.ndarray, axis: int) -> np.ndarray:
     return 1 + np.count_nonzero(ordered[:, 1:] != ordered[:, :-1], axis=1)
 
 
-def _initial_signatures(mult) -> np.ndarray:
+def _initial_signatures(mult, row_spans: np.ndarray) -> np.ndarray:
     """One row per element: monogenic index, period, idempotent flag, row
     span and column span.  Every column of T is some element's, so a row of
     T holds the distinct products of its row, and the column span of y is
-    that of its scale column."""
+    that of its scale column.  row_spans is _distinct_counts(T, 1), which
+    _refine_colors has already computed."""
     table, sig = mult
     idempotent = table[np.arange(len(sig)), sig] == np.arange(len(sig))
     return np.column_stack(
-        [
-            _monogenic_profiles(mult),
-            idempotent,
-            _distinct_counts(table, 1),
-            _distinct_counts(table, 0)[sig],
-        ]
+        [_monogenic_profiles(mult), idempotent, row_spans, _distinct_counts(table, 0)[sig]]
     )
 
 
-def _shared_colors(
-    rows1: Iterable[np.ndarray], rows2: Iterable[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Dense colours for the signature rows of both semigroups from one
-    shared palette, so equal signatures get equal colours across the pair."""
+def _row_types(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d array, numbered by first occurrence, as
+    (first, kind): first[k] is the index of the first row of type k, so
+    first is increasing, and kind[x] is the type of row x.  One stable sort
+    of the rows as void scalars groups equal rows, each group led by its
+    first row."""
+    rows = np.ascontiguousarray(rows)
+    flat = rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    lead = np.ones(len(flat), dtype=bool)
+    lead[1:] = ordered[1:] != ordered[:-1]
+    leaders = order[lead]
+    rank = np.empty(len(leaders), dtype=np.intp)
+    rank[np.argsort(leaders)] = np.arange(len(leaders))
+    kind = np.empty(len(flat), dtype=np.intp)
+    kind[order] = rank[np.cumsum(lead) - 1]
+    return np.sort(leaders), kind
+
+
+def _shared_colors(typed1, typed2) -> tuple[np.ndarray, np.ndarray, int]:
+    """Dense colours for the elements of both semigroups from one shared
+    palette, so equal stamps get equal colours across the pair.
+
+    Each side is (stamps, kind): kind[x] is the type of element x, types
+    numbered by first occurrence, and stamps holds one row per type in that
+    order.  So each distinct row is interned once, not once per element, and
+    the colours are still numbered by first occurrence over the elements of
+    the first semigroup, then of the second."""
     palette: dict[bytes, int] = {}
-    col1 = [palette.setdefault(row.tobytes(), len(palette)) for row in rows1]
-    col2 = [palette.setdefault(row.tobytes(), len(palette)) for row in rows2]
-    return np.asarray(col1), np.asarray(col2), len(palette)
+    cols = []
+    for stamps, kind in (typed1, typed2):
+        colour = [palette.setdefault(row.tobytes(), len(palette)) for row in stamps]
+        cols.append(np.asarray(colour, dtype=np.int64)[kind])
+    return cols[0], cols[1], len(palette)
 
 
-def _stamp(mult, col: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """Yield, for each element x in order, its stamp: col[x], then the sorted
-    distinct codes (col[y] * width + col[x*y]) * width + col[y*x] over all
-    y, then how many y give each code.  Two stamps are equal exactly when
-    col[x] and the multisets of codes are.
+def _stamps(mult, col: np.ndarray, width: int) -> tuple[Iterator[np.ndarray], np.ndarray]:
+    """The refinement stamps of the elements, one per row type, as (stamps,
+    kind): kind[x] is the type of x, types numbered by first occurrence, and
+    stamps yields the stamp of each type in that order.  The stamp of x is
+    col[x], then the sorted distinct codes (col[y] * width + col[x*y]) *
+    width + col[y*x] over all y, then how many y give each code.  Two stamps
+    are equal exactly when col[x] and the multisets of codes are.
 
-    x*y = T[x, sig[y]] and y*x = T[y, sig[x]], so for a fixed d = sig[x], y
-    enters the stamp only through the key (sig[y], col[y], col[T[y, d]]).
-    One sort of the n x s keys ((d * s + sig[y]) * width + col[y]) * width +
-    col[T[y, d]] counts the y of each key; the stamp of x then reads
-    col[x*y] = colored[x, sig[y]] once per key of its scale, not once per
-    y, and merges equal codes by adding their counts.  width is at most
-    2 * ISO_ELEMENT_LIMIT and s <= n <= ISO_ELEMENT_LIMIT, so the keys stay
-    below (n * width)**2 <= 2**50 and the codes below width**3 + width**2,
-    far inside int64.  The keys are n x s, like colored; the stamps are
-    built a block of x rows at a time, each row padded to the most keys any
-    scale has, so each array of a block fits _CHUNK_BYTES.
+    x*y = T[x, sig[y]] and y*x = T[y, sig[x]], so an element enters the
+    stamps, its own and those of others, only through its row type (sig[x],
+    col[x], colored[x]), where colored[x, c] = col[T[x, c]] is the colour of
+    x times any element of scale c.  One sort of the n rows finds the types,
+    and everything after works on the |R| types.  For a fixed d = sig[x], y
+    enters the stamp of x only through the key (sig[y], col[y], col[T[y,
+    d]]).  One sort of the |R| x s keys ((d * s + sig[y]) * width + col[y])
+    * width + col[T[y, d]], one y per type and weighted by the elements of
+    its type, counts the y of each key; the stamp of a type then reads
+    col[x*y] = colored[x, sig[y]] once per key of its scale, not once per y,
+    and merges equal codes by adding their counts.
+
+    The keys stay below (s * width)**2 and the codes below width**3 +
+    width**2.  width is at most the 2n colours of both semigroups and s <= n,
+    so int64 holds both for n < 32768, the cap-lifted m = 404 (n = 10504)
+    included.  The packed type rows are n x s, and the keys |R| x s, no
+    larger than the n x s keys a stamp per element would need; the stamps
+    are built a block of types at a time, each row padded to the most keys
+    any scale has, so each array of a block fits _CHUNK_BYTES.
     """
     table, sig = mult
-    n, s = table.shape
-    colored = col[table]  # colored[x, sig[y]] is the colour of x * y
-    keys = ((np.arange(s) * s + sig[:, None]) * width + col[:, None]) * width + colored
-    keys = np.sort(keys, axis=None)
+    s = table.shape[1]
+    # entry c of x's packed row codes colored[x, c], col[x] and sig[x]
+    packed = col[table]
+    packed *= width
+    packed += col[:, None]
+    packed *= s
+    packed += sig[:, None]
+    first, kind = _row_types(packed)
+    del packed
+    weight = np.bincount(kind)
+    type_sig, type_col = sig[first], col[first]
+    colored = col[table[first]]  # colored[r, sig[y]] is the colour of x * y, x of type r
+    keys = ((np.arange(s) * s + type_sig[:, None]) * width + type_col[:, None]) * width + colored
+    by_key = np.argsort(keys, axis=None)
+    keys = keys.ravel()[by_key]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.diff(starts, append=len(keys))
+    counts = np.add.reduceat(weight[by_key // s], starts)
     scale, rest = np.divmod(keys[starts], s * width * width)
     column, rest = np.divmod(rest, width * width)
     # row d holds the keys of scale d, padded to the longest row: a padding
@@ -276,32 +323,36 @@ def _stamp(mult, col: np.ndarray, width: int) -> Iterator[np.ndarray]:
     key_col[scale, slot] = column
     key_y[scale, slot], key_yx[scale, slot] = np.divmod(rest, width)
     key_count[scale, slot] = counts
-    step = max(1, _CHUNK_BYTES // (8 * pad[1]))  # rows of int64 codes
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(lo + step, n))
-        d = sig[rows]
-        codes = (key_y[d] * width + colored[rows[:, None], key_col[d]]) * width + key_yx[d]
-        order = np.argsort(codes, axis=1)
-        codes = np.take_along_axis(codes, order, axis=1).ravel()
-        tally = np.take_along_axis(key_count[d], order, axis=1).ravel()
-        # merge equal codes within a row, then drop the padding
-        first = np.ones(codes.shape, dtype=bool)
-        first[1:] = codes[1:] != codes[:-1]
-        first[:: pad[1]] = True
-        at = np.flatnonzero(first)
-        tally = np.add.reduceat(tally, at)
-        keep = tally > 0
-        owner, codes, tally = at[keep] // pad[1], codes[at[keep]], tally[keep]
-        # row i is col[x], its codes, then their counts
-        length = np.bincount(owner, minlength=len(rows))
-        ends = np.cumsum(1 + 2 * length)
-        begin = ends - 1 - 2 * length
-        within = np.arange(len(owner)) - (np.cumsum(length) - length)[owner]
-        flat = np.empty(ends[-1], dtype=np.int64)
-        flat[begin] = col[rows]
-        flat[begin[owner] + 1 + within] = codes
-        flat[begin[owner] + 1 + length[owner] + within] = tally
-        yield from (flat[a:b] for a, b in zip(begin.tolist(), ends.tolist()))
+    step = max(1, _CHUNK_BYTES // (8 * pad[1]))  # types of int64 codes
+
+    def stamps() -> Iterator[np.ndarray]:
+        for lo in range(0, len(first), step):
+            rows = np.arange(lo, min(lo + step, len(first)))
+            d = type_sig[rows]
+            codes = (key_y[d] * width + colored[rows[:, None], key_col[d]]) * width + key_yx[d]
+            order = np.argsort(codes, axis=1)
+            codes = np.take_along_axis(codes, order, axis=1).ravel()
+            tally = np.take_along_axis(key_count[d], order, axis=1).ravel()
+            # merge equal codes within a row, then drop the padding
+            first_code = np.ones(codes.shape, dtype=bool)
+            first_code[1:] = codes[1:] != codes[:-1]
+            first_code[:: pad[1]] = True
+            at = np.flatnonzero(first_code)
+            tally = np.add.reduceat(tally, at)
+            keep = tally > 0
+            owner, codes, tally = at[keep] // pad[1], codes[at[keep]], tally[keep]
+            # row i is col[x], its codes, then their counts
+            length = np.bincount(owner, minlength=len(rows))
+            ends = np.cumsum(1 + 2 * length)
+            begin = ends - 1 - 2 * length
+            within = np.arange(len(owner)) - (np.cumsum(length) - length)[owner]
+            flat = np.empty(ends[-1], dtype=np.int64)
+            flat[begin] = type_col[rows]
+            flat[begin[owner] + 1 + within] = codes
+            flat[begin[owner] + 1 + length[owner] + within] = tally
+            yield from (flat[a:b] for a, b in zip(begin.tolist(), ends.tolist()))
+
+    return stamps(), kind
 
 
 def _refine_colors(mult1, mult2):
@@ -310,13 +361,27 @@ def _refine_colors(mult1, mult2):
     Colours are interned in one shared palette so they are comparable across
     the pair; any isomorphism must preserve them.  Returns the stable colour
     arrays, or None as soon as the colour multisets separate.
+
+    The row spans, one sort of T each, are compared first: the multisets of
+    the initial signatures can only agree if those of every column do, so
+    differing row spans refute the pair before the monogenic walk or any
+    interning.  Otherwise the initial signatures reuse them, and each round
+    interns one stamp per row type (_stamps), not one per element.
     """
-    col1, col2, count = _shared_colors(_initial_signatures(mult1), _initial_signatures(mult2))
+    spans1, spans2 = _distinct_counts(mult1[0], 1), _distinct_counts(mult2[0], 1)
+    if not np.array_equal(np.sort(spans1), np.sort(spans2)):
+        return None
+    typed = []
+    for mult, spans in ((mult1, spans1), (mult2, spans2)):
+        signatures = _initial_signatures(mult, spans)
+        first, kind = _row_types(signatures)
+        typed.append((signatures[first], kind))
+    col1, col2, count = _shared_colors(*typed)
     while True:
         if (np.bincount(col1, minlength=count) != np.bincount(col2, minlength=count)).any():
             return None
         new1, new2, new_count = _shared_colors(
-            _stamp(mult1, col1, count), _stamp(mult2, col2, count)
+            _stamps(mult1, col1, count), _stamps(mult2, col2, count)
         )
         if new_count == count:
             return col1, col2

@@ -57,7 +57,6 @@ from commsem.isomorphism import (
     _preserves_products,
     _refine_colors,
     _scale_table,
-    _shared_colors,
 )
 from commsem.raw import RAW_ORACLE, SemigroupSummary, _commutator_tables
 
@@ -672,30 +671,43 @@ def reference_signatures(table: np.ndarray) -> np.ndarray:
 
 
 def reference_stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:
-    """Reference for isomorphism._stamp on a full n x n table, in whole arrays:
-    row x is col[x] followed by the sorted codes (col[y] * width + col[x*y])
-    * width + col[y*x] over all y, each as often as it occurs (_stamp lists
-    the distinct codes and their counts instead)."""
+    """Reference for the stamps of isomorphism._stamps on a full n x n table,
+    one row per element, in whole arrays: row x is col[x] followed by the
+    sorted codes (col[y] * width + col[x*y]) * width + col[y*x] over all y,
+    each as often as it occurs (_stamps lists the distinct codes and their
+    counts instead, once per row type)."""
     prod = col[table]
     combo = (col * width + prod) * width + prod.T
     combo.sort(axis=1)
     return np.column_stack([col, combo])
 
 
+def reference_shared_colors(rows1, rows2) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference for isomorphism._shared_colors, one row per element: dense
+    colours from one palette in first-occurrence order over the rows of
+    both sides, each row interned on its own."""
+    palette: dict[bytes, int] = {}
+    col1 = [palette.setdefault(row.tobytes(), len(palette)) for row in rows1]
+    col2 = [palette.setdefault(row.tobytes(), len(palette)) for row in rows2]
+    return np.asarray(col1, dtype=np.int64), np.asarray(col2, dtype=np.int64), len(palette)
+
+
 def reference_refine_colors(table1: np.ndarray, table2: np.ndarray):
     """Reference for isomorphism._refine_colors on full n x n tables: the
     initial colours from reference_signatures, then rounds of
-    reference_stamp rows, each interned by _shared_colors.  Returns every
-    round's (col1, col2, count) and the refinement's answer: None once the
-    colour multisets separate, else the colours of the last round that
-    split a class."""
-    rounds = [_shared_colors(reference_signatures(table1), reference_signatures(table2))]
+    reference_stamp rows, each interned per element by
+    reference_shared_colors.  Returns every round's (col1, col2, count) and
+    the refinement's answer: None once the colour multisets separate, else
+    the colours of the last round that split a class."""
+    rounds = [reference_shared_colors(reference_signatures(table1), reference_signatures(table2))]
     while True:
         col1, col2, count = rounds[-1]
         if (np.bincount(col1, minlength=count) != np.bincount(col2, minlength=count)).any():
             return rounds, None
         rounds.append(
-            _shared_colors(reference_stamp(table1, col1, count), reference_stamp(table2, col2, count))
+            reference_shared_colors(
+                reference_stamp(table1, col1, count), reference_stamp(table2, col2, count)
+            )
         )
         if rounds[-1][2] == count:
             return rounds, (col1, col2)

@@ -380,7 +380,7 @@ def test_iso_command(capsys):
         "P(D_2048) vs L(D_2048): isomorphic_with_witness (criterion says isomorphic, 1536 nodes)\n"
     )
     # the iso_refute anchors (m = 95, 3515 elements), all decided by the
-    # initial signatures
+    # row spans alone
     for m in (55, 95, 77, 87):
         code, out, _ = run_cli(capsys, "iso", "--m", str(m))
         assert code == 0

@@ -24,6 +24,7 @@ from commsem import (
     commutator,
     element_index,
     enumerate_elements,
+    gupta_criterion,
     order_central_series,
     search_isomorphism,
     verify_iso_map,
@@ -42,6 +43,7 @@ from support import (
     recursive_search_isomorphism,
     reference_preserves_products,
     reference_refine_colors,
+    reference_shared_colors,
     reference_stamp,
     scalar_extend,
     scalar_monogenic_profile,
@@ -452,31 +454,57 @@ def test_scale_table_expands_to_reference(m):
         reference = reference_mult_table(keys, m)
         assert scaled.dtype == "int32" and scaled.shape[1] == sig.max() + 1 < len(keys)
         assert np.array_equal(scaled[:, sig], reference)
-        signatures = isomorphism._initial_signatures((scaled, sig))
+        spans = isomorphism._distinct_counts(scaled, 1)
+        signatures = isomorphism._initial_signatures((scaled, sig), spans)
         assert np.array_equal(signatures, reference_signatures(reference))
 
 
-# a one-byte chunk makes every block of stamp rows a single row
+def test_row_types_number_rows_by_first_occurrence():
+    rng = np.random.default_rng(3)
+    for n, width, values in ((1, 1, 1), (7, 1, 3), (40, 3, 2), (200, 5, 3), (300, 2, 300)):
+        rows = rng.integers(0, values, (n, width))
+        first, kind = isomorphism._row_types(rows)
+        # the reference: a type per distinct row, in order of first occurrence
+        types = {}
+        for row in map(tuple, rows.tolist()):
+            types.setdefault(row, len(types))
+        assert kind.tolist() == [types[row] for row in map(tuple, rows.tolist())]
+        assert first.tolist() == [kind.tolist().index(k) for k in range(len(types))]
+
+
+# a one-byte chunk makes every block of stamps a single type's
 @pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
 @pytest.mark.parametrize("m,side", [(15, "right"), (24, "left"), (26, "right"), (13, "left")])
 def test_stamp_rows_match_whole_table_reference(monkeypatch, m, side, chunk_bytes):
     monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
     scaled, sig = _table(m, side)
     t = scaled[:, sig]
-    # the initial colours, and a random colouring that splits every class
-    col, _, width = isomorphism._shared_colors(isomorphism._initial_signatures((scaled, sig)), [])
+    n = len(t)
+    # the initial colours, where elements share row types; a random
+    # colouring; and a random colouring that splits every class, where each
+    # element is its own type and the quotient saves nothing
+    col, _, width = reference_shared_colors(reference_signatures(t), [])
     rng = np.random.default_rng(m)
-    for col, width in ((col, width), (rng.integers(0, len(t), len(t)), len(t))):
-        rows = list(isomorphism._stamp((scaled, sig), col, width))
+    colourings = [(col, width, True), (rng.integers(0, n, n), n, None), (rng.permutation(n), n, False)]
+    for col, width, shared in colourings:
+        stamps, kind = isomorphism._stamps((scaled, sig), col, width)
+        stamps = list(stamps)
+        assert list(dict.fromkeys(kind.tolist())) == list(range(len(stamps)))
+        assert shared is None or (len(stamps) < n) == shared
         reference = reference_stamp(t, col, width)
-        # each stamp is col[x], the distinct codes, then their counts
-        for row, want in zip(rows, reference, strict=True):
-            codes, counts = np.split(row[1:], 2)
-            assert np.array_equal(np.concatenate([row[:1], np.repeat(codes, counts)]), want)
+        # each stamp is col[x], the distinct codes, then their counts; expanded
+        # by the element's type it is the element's reference row
+        for x, want in enumerate(reference):
+            codes, counts = np.split(stamps[kind[x]][1:], 2)
+            assert np.array_equal(np.concatenate([stamps[kind[x]][:1], np.repeat(codes, counts)]), want)
         # so both induce one partition, and the same first-occurrence colours
-        got, _, got_count = isomorphism._shared_colors(rows, [])
-        want, _, want_count = isomorphism._shared_colors(reference, [])
+        got, _, got_count = isomorphism._shared_colors((stamps, kind), ([], np.zeros(0, dtype=np.intp)))
+        want, _, want_count = reference_shared_colors(reference, [])
         assert np.array_equal(got, want) and got_count == want_count
+
+
+def _no_monogenic_walk(mult):
+    raise AssertionError("the monogenic walk ran")
 
 
 # the FACTORED_MODULI pairs, and two P vs L pairs whose refinement splits
@@ -491,20 +519,49 @@ def test_refinement_rounds_match_whole_table_reference(monkeypatch, m1, side1, m
     rounds = []
     shared = isomorphism._shared_colors
 
-    def recording(rows1, rows2):
-        rounds.append(shared(rows1, rows2))
+    def recording(typed1, typed2):
+        rounds.append(shared(typed1, typed2))
         return rounds[-1]
 
     monkeypatch.setattr(isomorphism, "_shared_colors", recording)
     mult1, mult2 = _table(m1, side1), _table(m2, side2)
-    got = isomorphism._refine_colors(mult1, mult2)
     want_rounds, want = reference_refine_colors(*(scaled[:, sig] for scaled, sig in (mult1, mult2)))
+    spans1, spans2 = (np.sort(isomorphism._distinct_counts(scaled, 1)) for scaled, _ in (mult1, mult2))
+    if want is None and len(want_rounds) == 1:
+        # the reference refutes on the initial signatures; the row spans
+        # alone refute, before any monogenic walk or interning
+        assert m1 == m2 in (15, 24, 55, 95)
+        assert not np.array_equal(spans1, spans2)
+        monkeypatch.setattr(isomorphism, "_monogenic_profiles", _no_monogenic_walk)
+        assert isomorphism._refine_colors(mult1, mult2) is None
+        assert rounds == []
+        return
+    got = isomorphism._refine_colors(mult1, mult2)
+    assert np.array_equal(spans1, spans2)
     assert len(rounds) == len(want_rounds)
     for (col1, col2, count), (ref1, ref2, ref_count) in zip(rounds, want_rounds):
         assert np.array_equal(col1, ref1) and np.array_equal(col2, ref2) and count == ref_count
     assert (got is None) == (want is None)
     if got is not None:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_refuted_moduli_refute_on_row_spans_alone(monkeypatch):
+    # every equal-order m <= 128 with distinct sets that the criterion says
+    # is not isomorphic, within the cap, is refuted with 0 nodes before the
+    # monogenic walk
+    monkeypatch.setattr(isomorphism, "_monogenic_profiles", _no_monogenic_walk)
+    refuted = []
+    for m in range(3, 129):
+        g = GroupParams.from_modulus(m)
+        s1, s2 = close_pairs("right", g), close_pairs("left", g)
+        if gupta_criterion(g) or s1.size != s2.size or s1.size > isomorphism.ISO_ELEMENT_LIMIT:
+            continue
+        assert not np.array_equal(s1.elements, s2.elements)
+        res = search_isomorphism(s1, s2)
+        assert (res.status, res.nodes) == (IsoStatus.NOT_ISOMORPHIC, 0)
+        refuted.append(m)
+    assert len(refuted) == 30 and refuted[:3] == [15, 21, 30] and refuted[-1] == 126
 
 
 def test_monogenic_profiles_match_scalar_walk_on_arbitrary_tables():
