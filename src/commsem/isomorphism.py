@@ -7,23 +7,23 @@ composition rule makes x * y depend only on x and the scale of y, so the
 multiplication is an n x s int32 table T over the s distinct scales plus
 each element's scale column sig, with x * y = T[x, sig[y]] (_scale_table).
 
-Every step past the table is factored through scales too, so none does
-O(n^2) work.  Colour refinement first compares the row spans of the two
-tables, one sort of T each, and refutes the pair there when their multisets
-differ, before the other initial colours (monogenic index and period,
-idempotency, column span) are computed in whole-array rounds.  The stamp of
-x depends on x only through its row type: its scale, its colour and the
-colours of its products x * y.  So each round finds the distinct row types
-in one sort, counts per scale the types that share a key (sig[y], col[y],
-col[y * x]), weighted by their elements, reads col[x * y] once per key, and
-interns one stamp per type, not per element.  Each choice of image is
-closed under products in semi-naive frontier rounds: a pair forced by f * d
-depends on d only through its scale pair (sig1[d], sig2[phi[d]]), and the
-partial map keeps the distinct scale pairs of its domain up to date.  So a
-round gathers the frontier against all of those pairs and the older domain
-only against the pairs the frontier adds, |F| p + |D_old| p_new entries, in
-one semigroup and at the images in the other, and checks every forced pair
-in whole arrays before any is written.
+Every step past the table is factored through scales or row types.  Colour
+refinement first compares the row spans of the two tables, one sort of T
+each, and refutes the pair there when their multisets differ, before the
+other initial colours (monogenic index and period, idempotency, column span)
+are computed in whole-array rounds.  The stamp of x depends on x only
+through its row type: its scale, its colour and the colours of its products
+x * y.  So each round finds the distinct row types in one sort, stamps each
+type against every type, weighted by the elements of the other type, and
+interns one stamp per type, not per element: |R|^2 work for |R| row types,
+quadratic in n only when every element has a type of its own.  Each choice
+of image is closed under products in semi-naive frontier rounds: a pair
+forced by f * d depends on d only through its scale pair (sig1[d],
+sig2[phi[d]]), and the partial map keeps the distinct scale pairs of its
+domain up to date.  So a round gathers the frontier against all of those
+pairs and the older domain only against the pairs the frontier adds, |F| p +
+|D_old| p_new entries, in one semigroup and at the images in the other, and
+checks every forced pair in whole arrays before any is written.
 The leaf check compares one column pair per distinct scale pair (sig1[y],
 sig2[phi[y]]), which still covers all n^2 pairs (x, y).  Definite answers
 are sound (witnesses are verified on all n^2 pairs, refusals come from
@@ -43,7 +43,7 @@ from .closure import canonicalized_elements, close_pairs
 from .dihedral import GroupParams
 from .errors import ConsistencyError, ResourceLimitError
 from .mumaps import CanonicalMap, shift_modulus
-from .raw import _CHUNK_BYTES, SemigroupSummary
+from .raw import _CHUNK_BYTES, SemigroupSummary, _distinct
 
 ISO_ELEMENT_LIMIT = 4096
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -129,17 +129,6 @@ def _scale_table(keys: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.nd
             f"m={m} side={side} stage=_scale_table: element set is not closed under composition"
         )
     return table, sig
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of a 1-d array, by one sort and a mask of
-    changes between neighbours (a plain np.unique imports numpy.ma on first
-    use, about 12 ms)."""
-    ordered = np.sort(values)
-    change = np.empty(len(ordered), dtype=bool)
-    change[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=change[1:])
-    return ordered[change]
 
 
 def _scale_pairs(mult1, mult2, xs: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,22 +265,19 @@ def _stamps(mult, col: np.ndarray, width: int) -> tuple[Iterator[np.ndarray], np
     x*y = T[x, sig[y]] and y*x = T[y, sig[x]], so an element enters the
     stamps, its own and those of others, only through its row type (sig[x],
     col[x], colored[x]), where colored[x, c] = col[T[x, c]] is the colour of
-    x times any element of scale c.  One sort of the n rows finds the types,
-    and everything after works on the |R| types.  For a fixed d = sig[x], y
-    enters the stamp of x only through the key (sig[y], col[y], col[T[y,
-    d]]).  One sort of the |R| x s keys ((d * s + sig[y]) * width + col[y])
-    * width + col[T[y, d]], one y per type and weighted by the elements of
-    its type, counts the y of each key; the stamp of a type then reads
-    col[x*y] = colored[x, sig[y]] once per key of its scale, not once per y,
-    and merges equal codes by adding their counts.
+    x times any element of scale c.  One sort of the n rows finds the |R|
+    types, and everything after works on the types: the code of y in the
+    stamp of x depends only on the type q of y and the type r of x, as
+    (col_q * width + colored[r, sig_q]) * width + colored[q, sig_r], and
+    occurs once for each element of type q.  So the stamp of a type reads
+    each type once and merges equal codes by adding their counts: |R|^2
+    codes in all, for |R| row types.
 
-    The keys stay below (s * width)**2 and the codes below width**3 +
-    width**2.  width is at most the 2n colours of both semigroups and s <= n,
-    so int64 holds both for n < 32768, the cap-lifted m = 404 (n = 10504)
-    included.  The packed type rows are n x s, and the keys |R| x s, no
-    larger than the n x s keys a stamp per element would need; the stamps
-    are built a block of types at a time, each row padded to the most keys
-    any scale has, so each array of a block fits _CHUNK_BYTES.
+    The codes stay below width**3, so int64 holds them for width < 2**21,
+    whatever s is; width is at most the 2n colours of both semigroups.  The
+    packed rows are n x s, each entry below width**2 * s with s <= m <= 4096.
+    The stamps are built a block of types at a time, so each block's codes,
+    one per pair of types, fit _CHUNK_BYTES.
     """
     table, sig = mult
     s = table.shape[1]
@@ -303,44 +289,26 @@ def _stamps(mult, col: np.ndarray, width: int) -> tuple[Iterator[np.ndarray], np
     packed += sig[:, None]
     first, kind = _row_types(packed)
     del packed
+    types = len(first)
     weight = np.bincount(kind)
     type_sig, type_col = sig[first], col[first]
     colored = col[table[first]]  # colored[r, sig[y]] is the colour of x * y, x of type r
-    keys = ((np.arange(s) * s + type_sig[:, None]) * width + type_col[:, None]) * width + colored
-    by_key = np.argsort(keys, axis=None)
-    keys = keys.ravel()[by_key]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.add.reduceat(weight[by_key // s], starts)
-    scale, rest = np.divmod(keys[starts], s * width * width)
-    column, rest = np.divmod(rest, width * width)
-    # row d holds the keys of scale d, padded to the longest row: a padding
-    # entry has count 0 and a code of at least width**3, above every real one
-    bounds = np.searchsorted(scale, np.arange(s + 1))
-    slot = np.arange(len(scale)) - bounds[scale]
-    pad = (s, int(np.diff(bounds).max()))
-    key_col, key_y, key_yx, key_count = (np.zeros(pad, dtype=np.int64) for _ in range(4))
-    key_y[:] = width
-    key_col[scale, slot] = column
-    key_y[scale, slot], key_yx[scale, slot] = np.divmod(rest, width)
-    key_count[scale, slot] = counts
-    step = max(1, _CHUNK_BYTES // (8 * pad[1]))  # types of int64 codes
+    step = max(1, _CHUNK_BYTES // (8 * types))  # types of int64 codes
 
     def stamps() -> Iterator[np.ndarray]:
-        for lo in range(0, len(first), step):
-            rows = np.arange(lo, min(lo + step, len(first)))
-            d = type_sig[rows]
-            codes = (key_y[d] * width + colored[rows[:, None], key_col[d]]) * width + key_yx[d]
+        for lo in range(0, types, step):
+            rows = np.arange(lo, min(lo + step, types))
+            # codes[i, q]: y of type q in the stamp of x of type rows[i]
+            codes = (type_col * width + colored[rows][:, type_sig]) * width
+            codes += colored[:, type_sig[rows]].T
             order = np.argsort(codes, axis=1)
-            codes = np.take_along_axis(codes, order, axis=1).ravel()
-            tally = np.take_along_axis(key_count[d], order, axis=1).ravel()
-            # merge equal codes within a row, then drop the padding
+            codes = np.take_along_axis(codes, order, axis=1)
+            # merge equal codes within a row
             first_code = np.ones(codes.shape, dtype=bool)
-            first_code[1:] = codes[1:] != codes[:-1]
-            first_code[:: pad[1]] = True
+            first_code[:, 1:] = codes[:, 1:] != codes[:, :-1]
             at = np.flatnonzero(first_code)
-            tally = np.add.reduceat(tally, at)
-            keep = tally > 0
-            owner, codes, tally = at[keep] // pad[1], codes[at[keep]], tally[keep]
+            tally = np.add.reduceat(weight[order].ravel(), at)
+            owner, codes = at // types, codes.ravel()[at]
             # row i is col[x], its codes, then their counts
             length = np.bincount(owner, minlength=len(rows))
             ends = np.cumsum(1 + 2 * length)
@@ -360,7 +328,9 @@ def _refine_colors(mult1, mult2):
 
     Colours are interned in one shared palette so they are comparable across
     the pair; any isomorphism must preserve them.  Returns the stable colour
-    arrays, or None as soon as the colour multisets separate.
+    arrays and the column spans of the first semigroup's elements, which
+    order the search's generators, or None as soon as the colour multisets
+    separate.
 
     The row spans, one sort of T each, are compared first: the multisets of
     the initial signatures can only agree if those of every column do, so
@@ -376,6 +346,9 @@ def _refine_colors(mult1, mult2):
         signatures = _initial_signatures(mult, spans)
         first, kind = _row_types(signatures)
         typed.append((signatures[first], kind))
+    # the first semigroup's column spans, the last column of its signatures
+    (types1, kind1), _ = typed
+    column_span = types1[kind1, -1]
     col1, col2, count = _shared_colors(*typed)
     while True:
         if (np.bincount(col1, minlength=count) != np.bincount(col2, minlength=count)).any():
@@ -384,7 +357,7 @@ def _refine_colors(mult1, mult2):
             _stamps(mult1, col1, count), _stamps(mult2, col2, count)
         )
         if new_count == count:
-            return col1, col2
+            return col1, col2, column_span
         col1, col2, count = new1, new2, new_count
 
 
@@ -582,7 +555,7 @@ def search_isomorphism(
     colors = _refine_colors(mult1, mult2)
     if colors is None:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
-    col1, col2 = colors
+    col1, col2, column_span = colors
     gens = _greedy_generators(mult1)
     candidates: dict[int, np.ndarray] = {}
     for gi in gens:
@@ -594,8 +567,7 @@ def search_isomorphism(
         candidates[gi] = cands
     # assign the most constraining generators first: a large left-ideal means
     # many forced images per assignment, so conflicts surface early
-    t1, sig1 = mult1
-    column_span = _distinct_counts(t1, 0)[sig1].tolist()
+    column_span = column_span.tolist()
     order = sorted(gens, key=lambda gi: (-column_span[gi], len(candidates[gi]), gi))
 
     partial = _PartialIso(mult1, mult2, col1, col2)

@@ -16,7 +16,6 @@ import numpy as np
 
 from commsem import (
     AffineMap,
-    ConsistencyError,
     Container,
     GroupParams,
     canonicalized_elements,
@@ -58,7 +57,7 @@ from commsem.isomorphism import (
     _refine_colors,
     _scale_table,
 )
-from commsem.raw import RAW_ORACLE, SemigroupSummary, _commutator_tables
+from commsem.raw import SemigroupSummary
 
 from commsem.mumaps import CanonicalMap, alpha, beta, shift_modulus
 from perm_oracle import perm_commutator, perm_compose, perm_inverse, perm_of
@@ -557,75 +556,6 @@ def reference_close_tables(gens) -> frozenset[tuple[int, ...]]:
     return frozenset(known)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """The splitmix64 mix of each uint64 in x (arithmetic wraps mod 2**64)."""
-    x = x * np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
-
-
-# reference_close_raw's fingerprint weights: a raw table has at most
-# 2 * RAW_MODULUS_LIMIT = 256 entries below 256, and with integer weights
-# below 2**37 (the top 37 bits of a splitmix64 hash) every fingerprint
-# sum_x w[x] * t[x] stays below 2**53, where float64 sums are exact
-_REFERENCE_WEIGHTS = (
-    _splitmix64(np.arange(1, 2 * raw.RAW_MODULUS_LIMIT + 1, dtype=np.uint64)) >> np.uint64(27)
-).astype(np.float64)
-
-
-def reference_close_raw(side: str, g: GroupParams) -> SemigroupSummary:
-    """Reference for raw.close_raw: the closure as it once ran, composing
-    every frontier table with every distinct generator from the identity on,
-    each product confirmed against the table its fingerprint proposes."""
-    collision = f"m={g.m} side={side} stage=close_raw: distinct tables share a fingerprint"
-    gens = np.unique(_commutator_tables(side, g).astype(np.uint8), axis=0)
-    k, n = gens.shape
-    weights = _REFERENCE_WEIGHTS[:n]
-    images = np.ascontiguousarray(gens.T)  # images[y, j] = gens[j][y]
-    images_f = images.astype(np.float64)
-    # store[:count] holds every table found so far; known_fp is sorted, ends
-    # in an infinite sentinel, and known_fp[r] belongs to store row known_row[r]
-    store, count = np.empty((k, n), dtype=np.uint8), 0
-    known_fp, known_row = np.array([np.inf]), np.array([-1])
-    step = max(1, raw._CHUNK_BYTES // (k * n))
-    # round 0 composes the identity with every generator, which stores the
-    # generators themselves
-    frontier = np.arange(n)[None]
-    while len(frontier):
-        round_start = count
-        for lo in range(0, len(frontier), step):
-            chunk = frontier[lo : lo + step].astype(np.intp)
-            f = len(chunk)
-            products = images[chunk]  # products[i, x, j] = gens[j][chunk[i][x]]
-            spread = np.bincount(
-                (np.arange(f)[:, None] * n + chunk).ravel(),
-                weights=np.tile(weights, f),
-                minlength=f * n,
-            )
-            product_fp = np.matmul(spread.reshape(f, 1, n), images_f).ravel()
-            uniq, first, which = np.unique(product_fp, return_index=True, return_inverse=True)
-            pos = np.searchsorted(known_fp, uniq)
-            match = known_row[pos]
-            new = np.flatnonzero(known_fp[pos] != uniq)
-            if len(new):
-                if count + len(new) > len(store):
-                    grown = np.empty((2 * (count + len(new)), n), dtype=np.uint8)
-                    grown[:count] = store[:count]
-                    store = grown
-                i, j = np.divmod(first[new], k)
-                store[count : count + len(new)] = products[i, :, j]
-                match[new] = np.arange(count, count + len(new))
-                known_fp = np.insert(known_fp, pos[new], uniq[new])
-                known_row = np.insert(known_row, pos[new], match[new])
-                count += len(new)
-            matched = store[match[which]].reshape(f, k, n)
-            if not np.array_equal(products, matched.transpose(0, 2, 1)):
-                raise ConsistencyError(collision)
-        frontier = store[round_start:count]
-    return SemigroupSummary(g.m, side, k, RAW_ORACLE, store[:count].astype(np.int16))
-
-
 def reference_mult_table(keys, m: int) -> np.ndarray:
     """Reference for isomorphism._scale_table: the full n x n int32 table of the
     sorted CanonicalMap keys, one row at a time, as the isomorphism search
@@ -794,7 +724,7 @@ def recursive_search_isomorphism(
     colors = _refine_colors(mult1, mult2)
     if colors is None:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
-    col1, col2 = colors
+    col1, col2, _ = colors
     gens = _greedy_generators(mult1)
     candidates: dict[int, list[int]] = {}
     for gi in gens:

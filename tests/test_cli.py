@@ -365,13 +365,17 @@ def test_iso_command(capsys):
     # a zero budget still answers from colour refinement alone
     code, out, _ = run_cli(capsys, "iso", "--m", "15", "--budget", "0")
     assert code == 0 and "not_isomorphic" in out
-    # pinned node counts of the colour-refinement paths: stamp rounds (m = 100),
-    # separation by the initial signatures (m = 55, 1155 elements), cross-modulus
-    code, out, _ = run_cli(capsys, "iso", "--m", "100")
-    assert code == 0
-    assert out == (
-        "P(D_100) vs L(D_100): isomorphic_with_witness (criterion says isomorphic, 145 nodes)\n"
-    )
+    # pinned node counts of the colour-refinement paths: stamp rounds (m = 100,
+    # and m = 244, whose 3904 elements fall into 64 row types, the most of any
+    # P vs L or 2p vs p pair within the cap), separation by the initial
+    # signatures (m = 55, 1155 elements), cross-modulus
+    for m, nodes in ((100, 145), (244, 788)):
+        code, out, _ = run_cli(capsys, "iso", "--m", str(m))
+        assert code == 0
+        assert out == (
+            f"P(D_{m}) vs L(D_{m}): isomorphic_with_witness"
+            f" (criterion says isomorphic, {nodes} nodes)\n"
+        )
     # a generating set of more elements than Python's default recursion
     # limit; the backtracking holds its choices on an explicit stack
     code, out, err = run_cli(capsys, "iso", "--m", "2048")

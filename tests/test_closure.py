@@ -35,7 +35,6 @@ from support import (
     check_oracle_agreement,
     check_pairs_match_formula,
     reference_close_pairs,
-    reference_close_raw,
     reference_close_tables,
     reference_greedy_generators,
     reference_mult_table,
@@ -210,12 +209,15 @@ def test_close_tables_keeps_entry_permutations_apart():
 
 
 def test_close_raw_matches_reference_closure():
+    # the pair oracle is the reference: the raw oracle's distinct generator
+    # tables are the distinct commutation maps, and its tables decode, one
+    # key each, to exactly the pair closure's keys
     for m in range(3, 49):
         g = GroupParams.from_modulus(m)
         for side in ("right", "left"):
-            got, want = close_raw(side, g), reference_close_raw(side, g)
+            got, want = close_raw(side, g), close_pairs(side, g)
             assert got.generator_count == want.generator_count
-            assert got.element_set == want.element_set
+            assert np.array_equal(canonicalized_elements(got, g), want.elements)
 
 
 @pytest.mark.parametrize("m", [101, 123, 128])
@@ -385,11 +387,23 @@ TRAVERSAL_CASES = [(m, "right", m, "left") for m in (8, 20, 52, 85, 100)] + [
 
 
 @pytest.mark.parametrize("m1,side1,m2,side2", TRAVERSAL_CASES)
-def test_stack_search_matches_recursive_reference(m1, side1, m2, side2):
+def test_stack_search_matches_recursive_reference(monkeypatch, m1, side1, m2, side2):
+    axes = []
+    distinct_counts = isomorphism._distinct_counts
+
+    def counted(table, axis):
+        axes.append(axis)
+        return distinct_counts(table, axis)
+
+    monkeypatch.setattr(isomorphism, "_distinct_counts", counted)
     s1 = close_pairs(side1, GroupParams.from_modulus(m1))
     s2 = close_pairs(side2, GroupParams.from_modulus(m2))
     for budget in (0, 1, 10, 50, isomorphism.DEFAULT_SEARCH_BUDGET):
+        axes.clear()
         got = search_isomorphism(s1, s2, budget=budget)
+        # a search sorts each side's columns once, in the refinement, and
+        # orders its generators by the first side's column spans from there
+        assert axes.count(0) == (2 if got.nodes else 0)
         want = recursive_search_isomorphism(s1, s2, budget=budget)
         assert (got.status, got.nodes, got.witness) == (want.status, want.nodes, want.witness)
 
@@ -399,7 +413,9 @@ def test_stack_search_backtracks_like_recursive_reference(monkeypatch):
     # successful extension; with one colour for every element the search
     # must, and a single colour class is still isomorphism-invariant
     def one_colour(mult1, mult2):
-        return np.zeros(len(mult1[0]), dtype=np.int64), np.zeros(len(mult2[0]), dtype=np.int64)
+        (t1, sig1), (t2, _) = mult1, mult2
+        zeros = (np.zeros(len(t), dtype=np.int64) for t in (t1, t2))
+        return *zeros, isomorphism._distinct_counts(t1, 0)[sig1]
 
     monkeypatch.setattr(isomorphism, "_refine_colors", one_colour)
     monkeypatch.setattr(support, "_refine_colors", one_colour)
@@ -492,8 +508,12 @@ def test_stamp_rows_match_whole_table_reference(monkeypatch, m, side, chunk_byte
         assert list(dict.fromkeys(kind.tolist())) == list(range(len(stamps)))
         assert shared is None or (len(stamps) < n) == shared
         reference = reference_stamp(t, col, width)
-        # each stamp is col[x], the distinct codes, then their counts; expanded
-        # by the element's type it is the element's reference row
+        # each stamp is col[x], the distinct codes, then their counts, one
+        # for each y; expanded by the element's type it is the element's
+        # reference row
+        for stamp in stamps:
+            codes, counts = np.split(stamp[1:], 2)
+            assert (np.diff(codes) > 0).all() and (counts > 0).all() and counts.sum() == n
         for x, want in enumerate(reference):
             codes, counts = np.split(stamps[kind[x]][1:], 2)
             assert np.array_equal(np.concatenate([stamps[kind[x]][:1], np.repeat(codes, counts)]), want)
@@ -689,7 +709,7 @@ def test_frontier_propagation_matches_scalar_reference(
     if colors is None:
         # the idempotent flag is invariant too, and keeps the colour check live
         colors = tuple(np.diagonal(t) == np.arange(len(t)) for t in (t1, t2))
-    col1, col2 = colors
+    col1, col2 = colors[:2]
     rows1, rows2, cols1, cols2 = t1.tolist(), t2.tolist(), col1.tolist(), col2.tolist()
     gens = isomorphism._greedy_generators(mult1)
     witness = _witness_images(
@@ -742,7 +762,7 @@ def test_tracked_scale_pairs_match_recomputation(m1, side1, m2, side2):
         colors = tuple(
             t[np.arange(len(sig)), sig] == np.arange(len(sig)) for t, sig in (mult1, mult2)
         )
-    col1, col2 = colors
+    col1, col2 = colors[:2]
     gens = isomorphism._greedy_generators(mult1)
     rng = random.Random(f"pairs{m1}{side1}{m2}{side2}")
     for _ in range(10):
@@ -770,7 +790,9 @@ def test_tracked_scale_pairs_survive_deep_backtracking(monkeypatch):
     # with one colour for every element the search backtracks through many
     # extends and undos; the pairs must match the domain after each
     def one_colour(mult1, mult2):
-        return np.zeros(len(mult1[0]), dtype=np.int64), np.zeros(len(mult2[0]), dtype=np.int64)
+        (t1, sig1), (t2, _) = mult1, mult2
+        zeros = (np.zeros(len(t), dtype=np.int64) for t in (t1, t2))
+        return *zeros, isomorphism._distinct_counts(t1, 0)[sig1]
 
     calls = []
 
