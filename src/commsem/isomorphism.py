@@ -10,7 +10,7 @@ each element's scale column sig, with x * y = T[x, sig[y]] (_scale_table).
 Every step past the table is factored through scales or row types.  Colour
 refinement first compares the row spans of the two tables, one sort of T
 each, and refutes the pair there when their multisets differ, before the
-other initial colours (monogenic index and period, idempotency, column span)
+other initial colours (monogenic index and period, column span)
 are computed in whole-array rounds.  The stamp of x depends on x only
 through its row type: its scale, its colour and the colours of its products
 x * y.  So each round finds the distinct row types in one sort, stamps each
@@ -205,16 +205,14 @@ def _distinct_counts(table: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _initial_signatures(mult, row_spans: np.ndarray) -> np.ndarray:
-    """One row per element: monogenic index, period, idempotent flag, row
-    span and column span.  Every column of T is some element's, so a row of
-    T holds the distinct products of its row, and the column span of y is
-    that of its scale column.  row_spans is _distinct_counts(T, 1), which
-    _refine_colors has already computed."""
+    """One row per element: monogenic index, period, row span and column
+    span.  x is idempotent exactly when its index and period are both 1, so
+    no column of its own is needed.  Every column of T is some element's, so
+    a row of T holds the distinct products of its row, and the column span
+    of y is that of its scale column.  row_spans is _distinct_counts(T, 1),
+    which _refine_colors has already computed."""
     table, sig = mult
-    idempotent = table[np.arange(len(sig)), sig] == np.arange(len(sig))
-    return np.column_stack(
-        [_monogenic_profiles(mult), idempotent, row_spans, _distinct_counts(table, 0)[sig]]
-    )
+    return np.column_stack([_monogenic_profiles(mult), row_spans, _distinct_counts(table, 0)[sig]])
 
 
 def _row_types(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

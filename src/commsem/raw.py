@@ -65,14 +65,6 @@ class SemigroupSummary:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
-    def element_set(self) -> frozenset:
-        """The elements as a frozenset: key ints for the pair oracle, each
-        table's int16 bytes for the raw oracle."""
-        if self.oracle == RAW_ORACLE:
-            return frozenset(table.tobytes() for table in self.elements)
-        return frozenset(self.elements.tolist())
-
 
 def _commutator_tables(side: str, g: GroupParams) -> np.ndarray:
     """Row y is the table of x -> [x, y] (right) or of x -> [y, x] (left),

@@ -44,20 +44,7 @@ from commsem import (
     rho_map,
 )
 from commsem import raw
-from commsem.isomorphism import (
-    DEFAULT_SEARCH_BUDGET,
-    IsoSearchResult,
-    IsoStatus,
-    _check_iso_size,
-    _distinct,
-    _distinct_counts,
-    _greedy_generators,
-    _PartialIso,
-    _preserves_products,
-    _refine_colors,
-    _scale_table,
-)
-from commsem.raw import SemigroupSummary
+from commsem.isomorphism import _distinct
 
 from commsem.mumaps import CanonicalMap, alpha, beta, shift_modulus
 from perm_oracle import perm_commutator, perm_compose, perm_inverse, perm_of
@@ -297,7 +284,7 @@ def check_cover_matches_closure(m_values) -> None:
         for side in ("right", "left"):
             dec = decompose(side, g)
             summary = close_pairs(side, g)
-            assert {e.key for e in dec.member_union()} == summary.element_set
+            assert {e.key for e in dec.member_union()} == set(summary.elements.tolist())
             sizes = dec.part_sizes(g)
             for part, size in zip(dec.parts, sizes):
                 assert len(container_members(part)) == size
@@ -586,18 +573,16 @@ def scalar_monogenic_profile(table: np.ndarray, x: int) -> tuple[int, int]:
 
 def reference_signatures(table: np.ndarray) -> np.ndarray:
     """Reference for isomorphism._initial_signatures on a full n x n table: per
-    element, monogenic index, period, idempotent flag, and the numbers of
-    distinct entries in its row and in its column, counted by marking each
-    (row, entry) and (entry, column) pair in a boolean matrix."""
+    element, monogenic index, period, and the numbers of distinct entries in
+    its row and in its column, counted by marking each (row, entry) and
+    (entry, column) pair in a boolean matrix."""
     n = len(table)
     in_row = np.zeros((n, n), dtype=bool)
     in_row[np.arange(n)[:, None], table] = True
     in_column = np.zeros((n, n), dtype=bool)
     in_column[table, np.arange(n)] = True
     profiles = [scalar_monogenic_profile(table, x) for x in range(n)]
-    return np.column_stack(
-        [profiles, np.diagonal(table) == np.arange(n), in_row.sum(axis=1), in_column.sum(axis=0)]
-    ).astype(np.int64)
+    return np.column_stack([profiles, in_row.sum(axis=1), in_column.sum(axis=0)]).astype(np.int64)
 
 
 def reference_stamp(table: np.ndarray, col: np.ndarray, width: int) -> np.ndarray:
@@ -697,81 +682,3 @@ def reference_greedy_generators(mult) -> list[int]:
             gens.append(x)
             size = absorb(np.array([x], dtype=np.int32), size)
     return gens
-
-
-def recursive_search_isomorphism(
-    s1: SemigroupSummary, s2: SemigroupSummary, budget: int = DEFAULT_SEARCH_BUDGET
-) -> IsoSearchResult:
-    """Reference for isomorphism.search_isomorphism: the search as it once ran,
-    backtracking through a self-recursive closure, one Python frame per
-    generator, so a generating set longer than the recursion limit raised
-    RecursionError.  Same candidates, order and budget accounting."""
-    if s1.size != s2.size:
-        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
-    e1 = canonicalized_elements(s1, GroupParams.from_modulus(s1.m))
-    e2 = canonicalized_elements(s2, GroupParams.from_modulus(s2.m))
-    n = len(e1)
-
-    def witness(image: list[int]) -> tuple:
-        return e1.tolist(), s1.m, e2.tolist(), s2.m, image
-
-    if s1.m == s2.m and np.array_equal(e1, e2):
-        # same element set under the same composition rule: identity works
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, 0, witness(list(range(n))))
-    _check_iso_size(n)
-    mult1 = _scale_table(e1, s1.m, s1.side)
-    mult2 = _scale_table(e2, s2.m, s2.side)
-    colors = _refine_colors(mult1, mult2)
-    if colors is None:
-        return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
-    col1, col2, _ = colors
-    gens = _greedy_generators(mult1)
-    candidates: dict[int, list[int]] = {}
-    for gi in gens:
-        # refinement returned, so every colour of s1 also occurs in s2
-        cands = np.flatnonzero(col2 == col1[gi])
-        if s1.m == s2.m:
-            # the same key first, then the rest in index order
-            cands = cands[np.argsort(e2[cands] != e1[gi], kind="stable")]
-        candidates[gi] = cands.tolist()
-    # assign the most constraining generators first: a large left-ideal means
-    # many forced images per assignment, so conflicts surface early
-    t1, sig1 = mult1
-    column_span = _distinct_counts(t1, 0)[sig1].tolist()
-    order = sorted(gens, key=lambda gi: (-column_span[gi], len(candidates[gi]), gi))
-
-    partial = _PartialIso(mult1, mult2, col1, col2)
-    phi, used_by = partial.phi, partial.used_by
-    nodes = 0
-    budget_hit = False
-
-    def dfs(k: int) -> bool:
-        nonlocal nodes, budget_hit
-        if k == len(order):
-            return partial.size == n and _preserves_products(phi, mult1, mult2)
-        x = order[k]
-        if phi[x] >= 0:
-            return dfs(k + 1)
-        for w in candidates[x]:
-            if used_by[w] >= 0:
-                continue
-            nodes += 1
-            if nodes > budget:
-                budget_hit = True
-                return False
-            mark = partial.size
-            if partial.extend(x, w):
-                if dfs(k + 1):
-                    return True
-                partial.undo(mark)
-                if budget_hit:
-                    return False
-        return False
-
-    found = dfs(0)
-    del dfs  # dfs holds itself in a closure cell; the cycle would keep the tables alive
-    if found:
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, nodes, witness(phi.tolist()))
-    if budget_hit:
-        return IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, nodes)
-    return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, nodes)

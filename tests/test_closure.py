@@ -15,6 +15,7 @@ from commsem import (
     CanonicalMap,
     ConsistencyError,
     GroupParams,
+    IsoSearchResult,
     IsoStatus,
     ResourceLimitError,
     SemigroupSummary,
@@ -30,7 +31,6 @@ from commsem import (
     verify_iso_map,
 )
 from commsem import central_series, closure, containers, isomorphism, modular, mumaps, orders, raw
-import support
 from support import (
     check_oracle_agreement,
     check_pairs_match_formula,
@@ -39,7 +39,6 @@ from support import (
     reference_greedy_generators,
     reference_mult_table,
     reference_signatures,
-    recursive_search_isomorphism,
     reference_preserves_products,
     reference_refine_colors,
     reference_shared_colors,
@@ -57,7 +56,7 @@ def test_raw_anchor_values():
     right = close_raw("right", g8)
     left = close_raw("left", g8)
     assert right.size == left.size == 10
-    assert right.element_set != left.element_set
+    assert not np.array_equal(right.elements, left.elements)
     assert right.generator_count == 8
     assert right.oracle == "raw_tables"
     for m in (3, 5, 8):
@@ -228,7 +227,7 @@ def test_oracles_agree_heavy_rows(m):
 def test_canonicalized_elements_names_corrupted_tables():
     g8 = GroupParams.from_modulus(8)
     good = close_raw("right", g8)
-    table = np.frombuffer(max(good.element_set), dtype=np.int16)
+    table = good.elements[-1]
     odd_shift = table.copy()
     odd_shift[8] = 3  # the image of b is the doubled shift
     off_family = table.copy()
@@ -295,8 +294,9 @@ def test_pairs_reference_sizes():
     assert close_pairs("left", g3).size == 9
     summary = close_pairs("right", g15)
     assert summary.generator_count == 30
-    assert all(isinstance(e, int) for e in summary.element_set)
-    assert {CanonicalMap.from_key(e, 15).key for e in summary.element_set} == summary.element_set
+    keys = summary.elements.tolist()
+    assert summary.elements.dtype == np.int64 and keys == sorted(set(keys))
+    assert [CanonicalMap.from_key(k, 15).key for k in keys] == keys
 
 
 def test_oracles_agree_small():
@@ -318,7 +318,7 @@ def test_closure_idempotence_random_pairs():
     for m in (8, 15, 24, 40):
         g = GroupParams.from_modulus(m)
         for side in ("right", "left"):
-            universe = close_pairs(side, g).element_set
+            universe = set(close_pairs(side, g).elements.tolist())
             elements = [CanonicalMap.from_key(k, m) for k in sorted(universe)]
             for _ in range(1000):
                 f = rng.choice(elements)
@@ -380,14 +380,53 @@ def test_search_size_mismatch_and_budget():
     assert res.witness is None
 
 
-# P vs L at one modulus, and 2p vs p on both sides
-TRAVERSAL_CASES = [(m, "right", m, "left") for m in (8, 20, 52, 85, 100)] + [
-    (2 * p, side, p, side) for p in (5, 13, 37) for side in ("right", "left")
-]
+def _one_colour(mult1, mult2):
+    """_refine_colors with one colour for every element of both semigroups:
+    still isomorphism-invariant, but it prunes nothing, so the search must
+    backtrack past successful extensions."""
+    (t1, sig1), (t2, _) = mult1, mult2
+    zeros = (np.zeros(len(t), dtype=np.int64) for t in (t1, t2))
+    return *zeros, isomorphism._distinct_counts(t1, 0)[sig1]
 
 
-@pytest.mark.parametrize("m1,side1,m2,side2", TRAVERSAL_CASES)
-def test_stack_search_matches_recursive_reference(monkeypatch, m1, side1, m2, side2):
+# (m1, side1, m2, side2, one colour, status, nodes) of each unbounded search,
+# nodes being the count the CLI prints: P vs L at one modulus, and 2p vs p on
+# both sides.  With one colour: a refutation, a late witness, and a search
+# unfinished after three minutes (no status or count), run at its old
+# budgets only
+SEARCH_CASES = (
+    [
+        (m, "right", m, "left", False, IsoStatus.ISOMORPHIC, nodes)
+        for m, nodes in ((8, 6), (20, 16), (52, 58), (85, 184), (100, 145))
+    ]
+    + [
+        (2 * p, side, p, side, False, IsoStatus.ISOMORPHIC, nodes)
+        for p, nodes in ((5, 7), (13, 15), (37, 39))
+        for side in ("right", "left")
+    ]
+    + [
+        (9, "right", 24, "left", True, IsoStatus.NOT_ISOMORPHIC, 578),
+        (10, "left", 5, "right", True, IsoStatus.ISOMORPHIC, 47),
+        (15, "right", 15, "left", True, None, None),
+    ]
+)
+
+
+def _assert_witness_preserves_products(res, s1, s2):
+    """The witness is a bijection that preserves all n^2 products of the
+    full tables."""
+    perm = np.array(_witness_images(res, s1, s2), dtype=np.int32)
+    assert sorted(perm.tolist()) == list(range(s2.size))
+    full = (_whole(reference_mult_table(s.elements, s.m)) for s in (s1, s2))
+    assert reference_preserves_products(perm, *full)
+
+
+@pytest.mark.parametrize(
+    "m1,side1,m2,side2,one,status,nodes",
+    SEARCH_CASES,
+    ids=["-".join(map(str, case[:4])) + "-one-colour" * case[4] for case in SEARCH_CASES],
+)
+def test_search_meets_its_specification(monkeypatch, m1, side1, m2, side2, one, status, nodes):
     axes = []
     distinct_counts = isomorphism._distinct_counts
 
@@ -398,45 +437,45 @@ def test_stack_search_matches_recursive_reference(monkeypatch, m1, side1, m2, si
     monkeypatch.setattr(isomorphism, "_distinct_counts", counted)
     s1 = close_pairs(side1, GroupParams.from_modulus(m1))
     s2 = close_pairs(side2, GroupParams.from_modulus(m2))
-    for budget in (0, 1, 10, 50, isomorphism.DEFAULT_SEARCH_BUDGET):
+    results = []
+    if one:
+        results.append(search_isomorphism(s1, s2))
+        # a search refuted before any node sorts no columns
+        assert axes.count(0) == (2 if results[0].nodes else 0)
+        monkeypatch.setattr(isomorphism, "_refine_colors", _one_colour)
+    if nodes is None:
+        budgets = (0, 1, 10, 50, 1000)
+    else:
+        budgets = (0, 1, 10, 50, nodes - 1, nodes, isomorphism.DEFAULT_SEARCH_BUDGET)
+    # in increasing order, so a search that needs more nodes than pinned
+    # fails at budget `nodes` instead of running on
+    for budget in sorted(budgets):
         axes.clear()
         got = search_isomorphism(s1, s2, budget=budget)
-        # a search sorts each side's columns once, in the refinement, and
-        # orders its generators by the first side's column spans from there
-        assert axes.count(0) == (2 if got.nodes else 0)
-        want = recursive_search_isomorphism(s1, s2, budget=budget)
-        assert (got.status, got.nodes, got.witness) == (want.status, want.nodes, want.witness)
-
-
-def test_stack_search_backtracks_like_recursive_reference(monkeypatch):
-    # the colour refinement leaves no real case that backtracks past a
-    # successful extension; with one colour for every element the search
-    # must, and a single colour class is still isomorphism-invariant
-    def one_colour(mult1, mult2):
-        (t1, sig1), (t2, _) = mult1, mult2
-        zeros = (np.zeros(len(t), dtype=np.int64) for t in (t1, t2))
-        return *zeros, isomorphism._distinct_counts(t1, 0)[sig1]
-
-    monkeypatch.setattr(isomorphism, "_refine_colors", one_colour)
-    monkeypatch.setattr(support, "_refine_colors", one_colour)
-    # exhausted (578 nodes), exhausted budgets mid-backtrack, a late witness
-    cases = [(9, "right", 24, "left", (isomorphism.DEFAULT_SEARCH_BUDGET,))]
-    cases += [(15, "right", 15, "left", (0, 1, 10, 50, 1000))]
-    cases += [(10, "left", 5, "right", (isomorphism.DEFAULT_SEARCH_BUDGET,))]
-    for m1, side1, m2, side2, budgets in cases:
-        s1 = close_pairs(side1, GroupParams.from_modulus(m1))
-        s2 = close_pairs(side2, GroupParams.from_modulus(m2))
-        for budget in budgets:
-            got = search_isomorphism(s1, s2, budget=budget)
-            want = recursive_search_isomorphism(s1, s2, budget=budget)
-            assert (got.status, got.nodes, got.witness) == (want.status, want.nodes, want.witness)
-            assert got.nodes > 0
+        # a search sorts each side's columns once, in the refinement (the
+        # stub sorts the first side's), and orders its generators by the
+        # first side's column spans from there
+        assert axes.count(0) == (1 if one else 2)
+        # a budget below the unbounded count is exhausted by the node past
+        # it; any other budget gives the unbounded result
+        if nodes is None or budget < nodes:
+            assert got == IsoSearchResult(IsoStatus.BUDGET_EXHAUSTED, budget + 1)
+        elif budget == nodes:
+            assert (got.status, got.nodes) == (status, nodes)
+            results.append(got)
+        else:
+            assert got == results[-1]
+    # colours prune the search but never change its verdict
+    assert nodes is None or all(res.status is status for res in results)
+    for res in results:
+        if res.status is IsoStatus.ISOMORPHIC:
+            _assert_witness_preserves_products(res, s1, s2)
 
 
 def test_distinct_counts_match_sets():
     g12 = GroupParams.from_modulus(12)
     for side in ("right", "left"):
-        scaled, sig = isomorphism._scale_table(sorted(close_pairs(side, g12).element_set), 12, side)
+        scaled, sig = isomorphism._scale_table(close_pairs(side, g12).elements, 12, side)
         rows, cols = isomorphism._distinct_counts(scaled, 1), isomorphism._distinct_counts(scaled, 0)[sig]
         t = scaled[:, sig]
         for x in range(t.shape[0]):
@@ -445,7 +484,7 @@ def test_distinct_counts_match_sets():
 
 
 def test_mult_table_rejects_unclosed_keys():
-    keys = sorted(close_pairs("right", GroupParams.from_modulus(8)).element_set)
+    keys = close_pairs("right", GroupParams.from_modulus(8)).elements.tolist()
     scaled, sig = isomorphism._scale_table(keys, 8, "right")
     assert scaled.dtype == "int32"
     t = scaled[:, sig]
@@ -465,7 +504,7 @@ FACTORED_MODULI = [15, 24, 55, 74, 95, 13, 26, 37]
 @pytest.mark.parametrize("m", FACTORED_MODULI)
 def test_scale_table_expands_to_reference(m):
     for side in ("right", "left"):
-        keys = sorted(close_pairs(side, GroupParams.from_modulus(m)).element_set)
+        keys = close_pairs(side, GroupParams.from_modulus(m)).elements
         scaled, sig = isomorphism._scale_table(keys, m, side)
         reference = reference_mult_table(keys, m)
         assert scaled.dtype == "int32" and scaled.shape[1] == sig.max() + 1 < len(keys)
@@ -627,7 +666,7 @@ def test_verify_iso_map_refuses_above_cap(monkeypatch):
 
 def _table(m, side):
     """The scale-factored pair (T, sig) of one closure."""
-    keys = sorted(close_pairs(side, GroupParams.from_modulus(m)).element_set)
+    keys = close_pairs(side, GroupParams.from_modulus(m)).elements
     return isomorphism._scale_table(keys, m, side)
 
 
@@ -642,14 +681,14 @@ PROPAGATION_CASES = [(m, "right", m, "left") for m in (8, 12, 20, 52)] + [
 ]
 
 
-def _witness_images(s1, s2):
-    """The search's witness as a list of indices into the sorted keys, or None."""
-    res = search_isomorphism(s1, s2)
+def _witness_images(res, s1, s2):
+    """A search result's witness as a list of indices into the sorted keys,
+    or None."""
     if res.status is not IsoStatus.ISOMORPHIC:
         return None
-    position = {k: i for i, k in enumerate(sorted(s2.element_set))}
+    position = {k: i for i, k in enumerate(s2.elements.tolist())}
     images = {f.key: position[h.key] for f, h in res.witness.items()}
-    return [images[k] for k in sorted(s1.element_set)]
+    return [images[k] for k in s1.elements.tolist()]
 
 
 # P vs L at 20 and 100, and 74 vs 37
@@ -663,7 +702,7 @@ def test_leaf_check_matches_all_pairs_reference(monkeypatch, m1, side1, m2, side
     monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
     s1 = close_pairs(side1, GroupParams.from_modulus(m1))
     s2 = close_pairs(side2, GroupParams.from_modulus(m2))
-    witness = np.array(_witness_images(s1, s2), dtype=np.int32)
+    witness = np.array(_witness_images(search_isomorphism(s1, s2), s1, s2), dtype=np.int32)
     mult1, mult2 = _table(m1, side1), _table(m2, side2)
     assert isomorphism._preserves_products(witness, mult1, mult2)
     assert reference_preserves_products(witness, mult1, mult2)
@@ -712,10 +751,9 @@ def test_frontier_propagation_matches_scalar_reference(
     col1, col2 = colors[:2]
     rows1, rows2, cols1, cols2 = t1.tolist(), t2.tolist(), col1.tolist(), col2.tolist()
     gens = isomorphism._greedy_generators(mult1)
-    witness = _witness_images(
-        close_pairs(side1, GroupParams.from_modulus(m1)),
-        close_pairs(side2, GroupParams.from_modulus(m2)),
-    )
+    s1 = close_pairs(side1, GroupParams.from_modulus(m1))
+    s2 = close_pairs(side2, GroupParams.from_modulus(m2))
+    witness = _witness_images(search_isomorphism(s1, s2), s1, s2)
     rng = random.Random(f"{m1}{side1}{m2}{side2}")
     outcomes = set()
     for trial in range(21):
@@ -789,11 +827,6 @@ def test_tracked_scale_pairs_match_recomputation(m1, side1, m2, side2):
 def test_tracked_scale_pairs_survive_deep_backtracking(monkeypatch):
     # with one colour for every element the search backtracks through many
     # extends and undos; the pairs must match the domain after each
-    def one_colour(mult1, mult2):
-        (t1, sig1), (t2, _) = mult1, mult2
-        zeros = (np.zeros(len(t), dtype=np.int64) for t in (t1, t2))
-        return *zeros, isomorphism._distinct_counts(t1, 0)[sig1]
-
     calls = []
 
     class Checked(isomorphism._PartialIso):
@@ -807,7 +840,7 @@ def test_tracked_scale_pairs_survive_deep_backtracking(monkeypatch):
             super().undo(start)
             _assert_pairs_tracked(self)
 
-    monkeypatch.setattr(isomorphism, "_refine_colors", one_colour)
+    monkeypatch.setattr(isomorphism, "_refine_colors", _one_colour)
     monkeypatch.setattr(isomorphism, "_PartialIso", Checked)
     for m1, side1, m2, side2 in ((9, "right", 24, "left"), (10, "left", 5, "right")):
         s1 = close_pairs(side1, GroupParams.from_modulus(m1))
@@ -866,25 +899,34 @@ def test_products_are_read_per_scale_pair_not_per_scale():
     assert not isomorphism._preserves_products(identity, mult1, mult2)
 
 
-@pytest.mark.parametrize("m,side", [(8, "right"), (12, "left"), (52, "right"), (26, "left")])
+# every table of PROPAGATION_CASES
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("m", [5, 7, 8, 10, 12, 13, 14, 20, 26, 52])
 def test_greedy_generators_generate_the_table(m, side):
     scaled, sig = _table(m, side)
     gens = isomorphism._greedy_generators((scaled, sig))
     t = scaled[:, sig]
-    reached, frontier = set(gens), list(gens)
-    while frontier:
-        x = frontier.pop()
-        for y in list(reached):
-            for z in (int(t[x, y]), int(t[y, x])):
-                if z not in reached:
-                    reached.add(z)
-                    frontier.append(z)
-    assert reached == set(range(len(t)))
     # an element outside the image of t is no product, so only a generator
     # gives it; these irreducibles come first, in order
     irreducible = sorted(set(range(len(t))) - set(t.ravel().tolist()))
     assert gens[: len(irreducible)] == irreducible
-    assert len(set(gens)) == len(gens)
+    reached, frontier = set(irreducible), list(irreducible)
+    for k in range(len(irreducible), len(gens) + 1):
+        # the set closure of gens[:k]
+        while frontier:
+            x = frontier.pop()
+            for y in list(reached):
+                for z in (int(t[x, y]), int(t[y, x])):
+                    if z not in reached:
+                        reached.add(z)
+                        frontier.append(z)
+        if k == len(gens):
+            break
+        # each further generator is the least element the earlier ones miss
+        assert gens[k] == min(set(range(len(t))) - reached)
+        reached.add(gens[k])
+        frontier.append(gens[k])
+    assert reached == set(range(len(t)))
 
 
 # every table of PROPAGATION_CASES
@@ -905,9 +947,7 @@ def test_search_finds_the_witness_at_404_with_the_cap_lifted(monkeypatch):
     monkeypatch.setattr(isomorphism, "ISO_ELEMENT_LIMIT", s1.size)
     res = search_isomorphism(s1, s2)
     assert (res.status, res.nodes) == (IsoStatus.ISOMORPHIC, 2058)
-    position = {k: i for i, k in enumerate(s2.elements.tolist())}
-    images = {f.key: position[h.key] for f, h in res.witness.items()}
-    perm = np.array([images[k] for k in s1.elements.tolist()], dtype=np.int32)
+    perm = np.array(_witness_images(res, s1, s2), dtype=np.int32)
     assert sorted(perm.tolist()) == list(range(s1.size))
     assert reference_preserves_products(perm, _table(404, "right"), _table(404, "left"))
 
