@@ -10,20 +10,21 @@ each element's scale column sig, with x * y = T[x, sig[y]] (_scale_table).
 Every step past the table is factored through scales or row types.  Colour
 refinement first compares the row spans of the two tables, one sort of T
 each, and refutes the pair there when their multisets differ, before the
-other initial colours (monogenic index and period, column span)
-are computed in whole-array rounds.  The stamp of x depends on x only
-through its row type: its scale, its colour and the colours of its products
-x * y.  So each round finds the distinct row types in one sort, stamps each
-type against every type, weighted by the elements of the other type, and
-interns one stamp per type, not per element: |R|^2 work for |R| row types,
-quadratic in n only when every element has a type of its own.  Each choice
+other initial colours (column span, and index and period from one walk of
+powers per scale) are computed.  The stamp of x depends on x only through
+its row type: its scale, its colour and the colours of its products x * y.
+So each round finds the distinct row types in one sort, stamps each type
+against every type, weighted by the elements of the other type, and interns
+one stamp per type, not per element: |R|^2 work for |R| row types, quadratic
+in n only when every element has a type of its own.  Each choice
 of image is closed under products in semi-naive frontier rounds: a pair
 forced by f * d depends on d only through its scale pair (sig1[d],
 sig2[phi[d]]), and the partial map keeps the distinct scale pairs of its
 domain up to date.  So a round gathers the frontier against all of those
 pairs and the older domain only against the pairs the frontier adds, |F| p +
 |D_old| p_new entries, in one semigroup and at the images in the other, and
-checks every forced pair in whole arrays before any is written.
+finds every conflict before any pair is written, without a sort, by
+scattering the forced images into a copy of the map and reading them back.
 The leaf check compares one column pair per distinct scale pair (sig1[y],
 sig2[phi[y]]), which still covers all n^2 pairs (x, y).  Definite answers
 are sound (witnesses are verified on all n^2 pairs, refusals come from
@@ -113,9 +114,11 @@ def _scale_table(keys: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.nd
     the right factor, so x * y depends only on x and the scale of y.  Returns
     (T, sig): T[x, c] is the index of x * (any key of scale u[c]), for the s
     distinct scales u of the keys, and sig[y] is the column of y's scale, so
-    x * y = T[x, sig[y]] and every column is some element's.  Raises if a
-    product is not among the keys.  int32 holds any index: n <= m *
-    shift_modulus(m) < 2**31.  Any n x n table t is the pair (t, arange(n)).
+    x * y = T[x, sig[y]] and every column is some element's.  The key of x
+    times scale u, (scale(x) u mod m) sm + shift(x) u mod sm, is read from an
+    s x s table by x's scale and an sm x s table by its shift.  Raises if a
+    product is not among the keys.  int32 holds any key: n <= m * sm < 2**31,
+    sm = shift_modulus(m).  Any n x n table t is the pair (t, arange(n)).
     """
     sm = shift_modulus(m)
     keys = np.asarray(keys, dtype=np.int64)
@@ -123,7 +126,9 @@ def _scale_table(keys: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.nd
     u, sig = np.unique(scales, return_inverse=True)
     lookup = np.full(m * sm, -1, dtype=np.int32)
     lookup[keys] = np.arange(len(keys))
-    table = lookup[(scales[:, None] * u % m) * sm + shifts[:, None] * u % sm]
+    by_scale = (u[:, None] * u % m * sm).astype(np.int32)
+    by_shift = (np.arange(sm)[:, None] * u % sm).astype(np.int32)
+    table = lookup[by_scale[sig] + by_shift[shifts]]
     if (table < 0).any():
         raise ConsistencyError(
             f"m={m} side={side} stage=_scale_table: element set is not closed under composition"
@@ -161,41 +166,35 @@ def _preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
 
 def _monogenic_profiles(mult) -> np.ndarray:
     """(index, period) of every element x: the least i and p >= 1 with
-    x^i = x^(i+p).  Brent's cycle search runs on all x in lockstep numpy
-    rounds of x^(k+1) = T[x^k, sig[x]], each round over the elements whose
-    search is still live, so the rounds hold O(n) memory."""
+    x^i = x^(i+p), on an associative table in which the scale of a product
+    depends only on the scales of its factors, as in every _scale_table.
+
+    Then x^k = x * x^(k-1) = T[x, c_(k-1)] for k >= 2, c_j the column of u^j
+    for x's scale u.  So x^i = x^(i+p) forces c_i = c_(i+p), and c_(i-1) =
+    c_(i-1+p) implies it: x has the period p_a of its scale column a, and
+    index i_a + [x^(i_a) != x^(i_a+p_a)].  One walk of the powers of each
+    column in the s x s scale table gives (i_a, p_a)."""
     table, sig = mult
-    n = len(sig)
-
-    def advance(v: np.ndarray, live: np.ndarray) -> None:
-        v[live] = table[v[live], sig[live]]
-
-    # the period: the hare runs ahead, and the tortoise jumps to it at
-    # every power of two, until the hare meets it
-    tortoise = np.arange(n)
-    hare = table[tortoise, sig]
-    power, period = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
-    live = np.flatnonzero(tortoise != hare)
-    while len(live):
-        jump = live[power[live] == period[live]]
-        tortoise[jump] = hare[jump]
-        power[jump] *= 2
-        period[jump] = 0
-        advance(hare, live)
-        period[live] += 1
-        live = live[tortoise[live] != hare[live]]
-    # the index: from x and x^(1+period), step both until they meet
-    tortoise, hare = np.arange(n), np.arange(n)
-    for k in range(int(period.max(initial=0))):
-        advance(hare, np.flatnonzero(period > k))
-    index = np.ones(n, dtype=np.int64)
-    live = np.flatnonzero(tortoise != hare)
-    while len(live):
-        advance(tortoise, live)
-        advance(hare, live)
-        index[live] += 1
-        live = live[tortoise[live] != hare[live]]
-    return np.column_stack([index, period])
+    n, s = len(sig), table.shape[1]
+    some = np.empty(s, dtype=np.intp)
+    some[sig] = np.arange(n)
+    # scale[c][a] is the column of u_c * u_a
+    scale = sig[table[some]].tolist()
+    walks = []
+    for a in range(s):
+        # powers[j] is the column of u_a^(j+1), walked until one repeats
+        seen: dict[int, int] = {}
+        powers, c = [], a
+        while c not in seen:
+            seen[c] = len(powers)
+            powers.append(c)
+            c = scale[c][a]
+        # i_a, p_a, then the columns giving x^(i_a) when i_a > 1 and x^(i_a+p_a)
+        walks.append((seen[c] + 1, len(powers) - seen[c], powers[seen[c] - 1], powers[-1]))
+    index, period, below, last = np.array(walks, dtype=np.int64)[sig].T
+    rows = np.arange(n)
+    low = np.where(index == 1, rows, table[rows, below])
+    return np.column_stack([index + (low != table[rows, last]), period])
 
 
 def _distinct_counts(table: np.ndarray, axis: int) -> np.ndarray:
@@ -367,7 +366,8 @@ def _greedy_generators(mult) -> list[int]:
     absorption gathers the new elements against the scale columns of all
     members, and the older members only against the columns the new
     elements add: an older y times a new x of a scale some older x' has is
-    y * x', already a member."""
+    y * x', already a member.  New scales and members are marked in boolean
+    arrays, so no round sorts."""
     table, sig = mult
     n = len(sig)
     reducible = np.zeros(n, dtype=bool)
@@ -384,16 +384,14 @@ def _greedy_generators(mult) -> list[int]:
             inside[new] = True
             lo, size = size, size + len(new)
             members[lo:size] = new
-            cols = sig[new]
-            added = _distinct(cols[~has_scale[cols]])
+            fresh = np.zeros(len(has_scale), dtype=bool)
+            fresh[sig[new]] = True
+            added = np.flatnonzero(fresh & ~has_scale)
             has_scale[added] = True
-            z = np.concatenate(
-                (
-                    table[new[:, None], np.flatnonzero(has_scale)].ravel(),
-                    table[members[:lo, None], added].ravel(),
-                )
-            )
-            new = _distinct(z[~inside[z]])
+            reached = np.zeros(n, dtype=bool)
+            reached[table[new[:, None], np.flatnonzero(has_scale)]] = True
+            reached[table[members[:lo, None], added]] = True
+            new = np.flatnonzero(reached & ~inside)
         return size
 
     gens = np.flatnonzero(~reducible).tolist()
@@ -412,8 +410,7 @@ class _PartialIso:
     of another that preserves colours and is closed under products: its
     domain is a subsemigroup and phi[x * y] = phi[x] * phi[y] on it.  Each
     multiplication is a scale-factored pair (T, sig), x * y = T[x, sig[y]]
-    (_scale_table).  A pair (x, w) is coded as x * n2 + w, n2 the size of the
-    second semigroup, and a scale pair (c1, c2) as c1 * s2 + c2, s2 the
+    (_scale_table).  A scale pair (c1, c2) is coded as c1 * s2 + c2, s2 the
     number of scale columns of the second table."""
 
     def __init__(self, mult1, mult2, col1: np.ndarray, col2: np.ndarray):
@@ -423,9 +420,10 @@ class _PartialIso:
         # domain[:size] holds the assigned elements in assignment order
         self.domain, self.size = np.empty(len(col1), dtype=np.int32), 0
         # pairs[:npairs] holds the distinct scale pairs (sig1[d], sig2[phi[d]])
-        # of the domain in first-appearance order, at most one per element;
-        # pairs_at[k] is npairs when a round began at domain size k
+        # of the domain in first-appearance order, at most one per element, and
+        # paired marks them; pairs_at[k] is npairs when a round began at size k
         self.pairs, self.npairs = np.empty(len(col1), dtype=np.int64), 0
+        self.paired = np.zeros(mult1[0].shape[1] * mult2[0].shape[1], dtype=bool)
         self.pairs_at = [0] * (len(col1) + 1)
 
     def extend(self, x: int, w: int) -> bool:
@@ -434,67 +432,66 @@ class _PartialIso:
         the whole domain, both ways, in the first semigroup and at their
         images in the second (_forced).  Every proposed pair is forced, so
         the closure is the unique homomorphic extension whatever the order;
-        on any conflict the map is restored and False returned."""
-        n = len(self.used_by)
+        on any conflict the map is restored and False returned.  Two new
+        pairs with one image show when used_by is read back after the writes."""
         start = self.size
-        codes = np.array([x * n + w], dtype=np.int64)
-        while len(codes):
-            xs, ws = np.divmod(codes, n)
-            # a new image must be unused, used once, and of the same colour
-            taken = (self.used_by[ws] >= 0).any() or len(_distinct(ws)) != len(ws)
-            if taken or (self.col1[xs] != self.col2[ws]).any():
+        xs, ws = np.array([x]), np.array([w])
+        while len(xs):
+            # a new image must be unused and of the same colour
+            if (self.used_by[ws] >= 0).any() or (self.col1[xs] != self.col2[ws]).any():
                 self.undo(start)
                 return False
             lo, self.size = self.size, self.size + len(xs)
             self.phi[xs] = ws
             self.used_by[ws] = xs
             self.domain[lo : self.size] = xs
-            codes = self._forced(lo)
-            if codes is None:
+            forced = None if (self.used_by[ws] != xs).any() else self._forced(lo)
+            if forced is None:
                 self.undo(start)
                 return False
+            xs, ws = forced
         return True
 
-    def _forced(self, lo: int) -> np.ndarray | None:
-        """Sorted codes of the images w that products of the frontier
-        domain[lo:size] with the domain force on unassigned elements x, or
-        None when a product contradicts phi or gets two images.  A product
-        x * d forces (T1[x, sig1[d]], T2[phi[x], sig2[phi[d]]]), which
-        depends on d only through its scale pair (sig1[d], sig2[phi[d]]).
-        So the frontier is gathered against every scale pair of the domain,
-        and the older domain[:lo] only against the pairs the frontier adds:
-        for an older y and a frontier f whose pair some older d has, y * f
-        forces what y * d forced in an earlier round.  That is |F| p +
-        |D_old| p_new entries for p pairs, p_new of them new, and the pairs
-        are kept up to date, not sorted again from the whole domain."""
-        n = len(self.used_by)
+    def _forced(self, lo: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """The unassigned elements xs, increasing, and the images ws that
+        products of the frontier domain[lo:size] with the domain force on
+        them, or None when a product contradicts phi or gets two images.  A
+        product x * d forces (T1[x, sig1[d]], T2[phi[x], sig2[phi[d]]]),
+        which depends on d only through its scale pair.  So the frontier is
+        gathered against every scale pair of the domain, and the older
+        domain[:lo] only against the pairs the frontier adds: for an older y
+        and a frontier f whose pair some older d has, y * f forces what y * d
+        forced in an earlier round.  Scattered into a copy of phi, an x forced
+        to two images reads back the other, and an assigned x forced to
+        another image changes its entry."""
         (t1, sig1), (t2, sig2) = self.mult1, self.mult2
         width = t2.shape[1]
         frontier, older = self.domain[lo : self.size], self.domain[:lo]
         self.pairs_at[lo] = had = self.npairs
-        old = self.pairs[:had]
-        new = _distinct(sig1[frontier].astype(np.int64) * width + sig2[self.phi[frontier]])
-        # drop the frontier's pairs the older domain has (new is sorted)
-        at = np.minimum(np.searchsorted(new, old), len(new) - 1)
-        fresh = np.ones(len(new), dtype=bool)
-        fresh[at[new[at] == old]] = False
-        new = new[fresh]
-        self.npairs = had + len(new)
-        self.pairs[had : self.npairs] = new
-        codes = []
+        codes = sig1[frontier] * width + sig2[self.phi[frontier]]
+        new = codes[~self.paired[codes]]
+        if len(new):
+            fresh = np.zeros_like(self.paired)
+            fresh[new] = True
+            new = np.flatnonzero(fresh)
+            self.paired[new] = True
+            self.npairs = had + len(new)
+            self.pairs[had : self.npairs] = new
+        xs, ws = [], []
         for left, pairs in ((frontier, self.pairs[: self.npairs]), (older, new)):
-            c1, c2 = np.divmod(pairs, width)
-            xs = t1[left[:, None], c1].ravel().astype(np.int64)
-            codes.append(xs * n + t2[self.phi[left][:, None], c2].ravel())
-        xs, ws = np.divmod(_distinct(np.concatenate(codes)), n)
-        known = self.phi[xs]
-        assigned = known >= 0
-        if (known[assigned] != ws[assigned]).any():
+            if len(pairs):
+                c1, c2 = np.divmod(pairs, width)
+                xs.append(t1[left[:, None], c1].ravel())
+                ws.append(t2[self.phi[left][:, None], c2].ravel())
+        xs, ws = np.concatenate(xs), np.concatenate(ws)
+        trial = self.phi.copy()
+        trial[xs] = ws
+        if (trial[xs] != ws).any():
             return None
-        xs, ws = xs[~assigned], ws[~assigned]
-        if (np.diff(xs) == 0).any():
+        xs = np.flatnonzero(trial != self.phi)
+        if (self.phi[xs] >= 0).any():
             return None
-        return xs * n + ws
+        return xs, trial[xs]
 
     def undo(self, start: int) -> None:
         """Unassign everything assigned after the first start elements;
@@ -502,7 +499,9 @@ class _PartialIso:
         xs = self.domain[start : self.size]
         if len(xs):
             # a round began at start, so its record of the pairs is current
-            self.npairs = self.pairs_at[start]
+            had = self.pairs_at[start]
+            self.paired[self.pairs[had : self.npairs]] = False
+            self.npairs = had
         self.used_by[self.phi[xs]] = -1
         self.phi[xs] = -1
         self.size = start
@@ -521,8 +520,9 @@ def search_isomorphism(
     product of a frontier element with a domain element depends on the latter
     only through its scale pair (its scale column and that of its image), so a
     round gathers the frontier against the p distinct scale pairs of the domain
-    and the older domain against the p_new pairs the frontier adds: |F| p +
-    |D_old| p_new forced pairs, not 2 |F| |D|; p = s at every witness measured.
+    and the older domain against the p_new pairs the frontier adds, if any:
+    |F| p + |D_old| p_new forced pairs, not 2 |F| |D|; p = s at every witness
+    measured.  The round finds conflicts and new pairs without a sort.
     That closure is the unique homomorphic extension of the chosen images, so
     neither it nor the node count depends on the order in which products are
     examined.  The backtracking runs over an explicit stack with one entry per

@@ -409,6 +409,14 @@ def test_iso_command(capsys):
     assert out == (
         "P(D_85) vs L(D_85): isomorphic_with_witness (criterion says isomorphic, 184 nodes)\n"
     )
+    # index and period decide this node count: without them the P search
+    # takes 3142 nodes
+    code, out, _ = run_cli(capsys, "iso", "--m", "110", "--m2", "55")
+    assert code == 0
+    assert out.splitlines() == [
+        "P(D_110) vs P(D_55): isomorphic_with_witness (62 nodes)",
+        "L(D_110) vs L(D_55): isomorphic_with_witness (60 nodes)",
+    ]
     code, out, _ = run_cli(capsys, "iso", "--m", "100", "--budget", "50")
     assert code == 2
     assert out == "P(D_100) vs L(D_100): budget_exhausted (criterion says isomorphic, 51 nodes)\n"

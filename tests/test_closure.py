@@ -623,19 +623,35 @@ def test_refuted_moduli_refute_on_row_spans_alone(monkeypatch):
     assert len(refuted) == 30 and refuted[:3] == [15, 21, 30] and refuted[-1] == 126
 
 
-def test_monogenic_profiles_match_scalar_walk_on_arbitrary_tables():
-    # random tables, associative or not, with tails and cycles of every length
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 7, 30, 200):
-        for _ in range(5):
-            t = rng.integers(0, n, (n, n)).astype(np.int32)
-            profiles = isomorphism._monogenic_profiles((t, np.arange(n)))
-            assert profiles.tolist() == [list(scalar_monogenic_profile(t, x)) for x in range(n)]
-    # one long cycle: x^k = k mod n for the powers of 1, so 1 has period n
+def test_monogenic_profiles_match_scalar_walk_on_semigroups():
+    """_monogenic_profiles walks the powers of each scale, not of each
+    element, which is exact only on an associative table in which the scale
+    of a product depends only on the scales of its factors.  Every table
+    _scale_table returns is one, and so is any associative n x n table read
+    with every element its own scale."""
     n = 50
-    t = (np.arange(n)[:, None] + np.arange(n)) % n
-    profiles = isomorphism._monogenic_profiles((t.astype(np.int32), np.arange(n)))
-    assert profiles.tolist() == [list(scalar_monogenic_profile(t, x)) for x in range(n)]
+    i, j = np.arange(n)[:, None], np.arange(n)
+    # one long cycle: x^k = k mod n for the powers of 1, so 1 has period n;
+    # and truncated addition, whose powers x^k = min(k x + 2 (k - 1), n - 1)
+    # run down long tails into the absorbing n - 1
+    for t in ((i + j) % n, np.minimum(i + j + 2, n - 1)):
+        profiles = isomorphism._monogenic_profiles((t.astype(np.int32), np.arange(n)))
+        assert profiles.tolist() == [list(scalar_monogenic_profile(t, x)) for x in range(n)]
+    # every semigroup the search admits for m <= 130, both sides, which
+    # covers 2p vs p for odd p <= 43; 472-left, whose scale walks are the
+    # longest of any admitted semigroup for m <= 4096; and 2048-right
+    cases = [(m, side) for m in range(3, 131) for side in ("right", "left")]
+    checked = 0
+    for m, side in cases + [(472, "left"), (2048, "right")]:
+        keys = close_pairs(side, GroupParams.from_modulus(m)).elements
+        if len(keys) > isomorphism.ISO_ELEMENT_LIMIT:
+            continue
+        scaled, sig = isomorphism._scale_table(keys, m, side)
+        t = scaled[:, sig]
+        profiles = isomorphism._monogenic_profiles((scaled, sig))
+        assert profiles.tolist() == [list(scalar_monogenic_profile(t, x)) for x in range(len(t))]
+        checked += 1
+    assert checked == 237
 
 
 def test_search_memory_below_n_squared_bytes():
@@ -783,11 +799,13 @@ def test_frontier_propagation_matches_scalar_reference(
 
 
 def _assert_pairs_tracked(partial):
-    """The scale pairs a _PartialIso keeps are those of its domain, each once."""
+    """The scale pairs a _PartialIso keeps are those of its domain, each
+    once, and its membership array marks exactly them."""
     domain = partial.domain[: partial.size]
     c1, c2 = isomorphism._scale_pairs(partial.mult1, partial.mult2, domain, partial.phi[domain])
     width = partial.mult2[0].shape[1]
     assert np.sort(partial.pairs[: partial.npairs]).tolist() == (c1 * width + c2).tolist()
+    assert np.flatnonzero(partial.paired).tolist() == (c1 * width + c2).tolist()
 
 
 @pytest.mark.parametrize("m1,side1,m2,side2", PROPAGATION_CASES)
