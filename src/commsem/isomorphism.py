@@ -16,20 +16,26 @@ its row type: its scale, its colour and the colours of its products x * y.
 So each round finds the distinct row types in one sort, stamps each type
 against every type, weighted by the elements of the other type, and interns
 one stamp per type, not per element: |R|^2 work for |R| row types, quadratic
-in n only when every element has a type of its own.  Each choice
-of image is closed under products in semi-naive frontier rounds: a pair
-forced by f * d depends on d only through its scale pair (sig1[d],
-sig2[phi[d]]), and the partial map keeps the distinct scale pairs of its
-domain up to date.  So a round gathers the frontier against all of those
-pairs and the older domain only against the pairs the frontier adds, |F| p +
-|D_old| p_new entries, in one semigroup and at the images in the other, and
-finds every conflict before any pair is written, without a sort, by
-scattering the forced images into a copy of the map and reading them back.
-The leaf check compares one column pair per distinct scale pair (sig1[y],
-sig2[phi[y]]), which still covers all n^2 pairs (x, y).  Definite answers
-are sound (witnesses are verified on all n^2 pairs, refusals come from
-exhaustion) and an exhausted node budget is reported as such, never
-guessed around.
+in n only when every element has a type of its own.  The greedy generating
+set absorbs each generator in one gather: the subsemigroup that generators G
+generate is G ∪ T[G, W], W the columns that their scale columns generate in
+the s x s table of scale products.  Each choice of image is closed under
+products in semi-naive frontier rounds: a pair forced by f * d depends on d
+only through its scale pair (sig1[d], sig2[phi[d]]), and the partial map
+keeps the distinct scale pairs of its domain up to date.  So a round gathers
+the frontier against all of those pairs and the older domain only against
+the pairs the frontier adds, |F| p + |D_old| p_new entries, in one semigroup
+and at the images in the other, and finds every conflict before any pair is
+written, without a sort, by scattering the forced images into a copy of the
+map and reading them back.  A round whose frontier adds no scale pair is the
+last: the pairs are then closed under products, and the products it gathered
+are all the closure still lacks.  Both shortcuts need associative tables in
+which the scale of a product depends only on the scales of its factors, as
+every _scale_table is.  The leaf check compares one column pair per distinct
+scale pair (sig1[y], sig2[phi[y]]), which still covers all n^2 pairs (x, y).
+Definite answers are sound (witnesses are verified on all n^2 pairs,
+refusals come from exhaustion) and an exhausted node budget is reported as
+such, never guessed around.
 """
 
 from __future__ import annotations
@@ -164,6 +170,17 @@ def _preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
     return True
 
 
+def _scale_products(mult) -> np.ndarray:
+    """The s x s multiplication of the scale columns: entry [c, a] is the
+    column of u_c * u_a, read from the row of any element of scale column c,
+    on a table in which the scale of a product depends only on the scales of
+    its factors, as in every _scale_table."""
+    table, sig = mult
+    some = np.empty(table.shape[1], dtype=np.intp)
+    some[sig] = np.arange(len(sig))
+    return sig[table[some]]
+
+
 def _monogenic_profiles(mult) -> np.ndarray:
     """(index, period) of every element x: the least i and p >= 1 with
     x^i = x^(i+p), on an associative table in which the scale of a product
@@ -176,10 +193,7 @@ def _monogenic_profiles(mult) -> np.ndarray:
     column in the s x s scale table gives (i_a, p_a)."""
     table, sig = mult
     n, s = len(sig), table.shape[1]
-    some = np.empty(s, dtype=np.intp)
-    some[sig] = np.arange(n)
-    # scale[c][a] is the column of u_c * u_a
-    scale = sig[table[some]].tolist()
+    scale = _scale_products(mult).tolist()
     walks = []
     for a in range(s):
         # powers[j] is the column of u_a^(j+1), walked until one repeats
@@ -272,24 +286,22 @@ def _stamps(mult, col: np.ndarray, width: int) -> tuple[Iterator[np.ndarray], np
 
     The codes stay below width**3, so int64 holds them for width < 2**21,
     whatever s is; width is at most the 2n colours of both semigroups.  The
-    packed rows are n x s, each entry below width**2 * s with s <= m <= 4096.
+    rows are n x (s + 2) int32, which holds every scale column and colour.
     The stamps are built a block of types at a time, so each block's codes,
     one per pair of types, fit _CHUNK_BYTES.
     """
     table, sig = mult
-    s = table.shape[1]
-    # entry c of x's packed row codes colored[x, c], col[x] and sig[x]
-    packed = col[table]
-    packed *= width
-    packed += col[:, None]
-    packed *= s
-    packed += sig[:, None]
-    first, kind = _row_types(packed)
-    del packed
+    # x's row is sig[x], col[x], then colored[x]
+    row_keys = np.empty((len(sig), 2 + table.shape[1]), dtype=np.int32)
+    row_keys[:, 0] = sig
+    row_keys[:, 1] = col
+    row_keys[:, 2:] = col.astype(np.int32)[table]
+    first, kind = _row_types(row_keys)
     types = len(first)
     weight = np.bincount(kind)
     type_sig, type_col = sig[first], col[first]
-    colored = col[table[first]]  # colored[r, sig[y]] is the colour of x * y, x of type r
+    colored = row_keys[first, 2:]  # colored[r, sig[y]] is the colour of x * y, x of type r
+    del row_keys
     step = max(1, _CHUNK_BYTES // (8 * types))  # types of int64 codes
 
     def stamps() -> Iterator[np.ndarray]:
@@ -360,49 +372,57 @@ def _refine_colors(mult1, mult2):
 
 def _greedy_generators(mult) -> list[int]:
     """A small generating set: every irreducible element (one that is not a
-    product of any two elements) must be a generator; greedy absorption mops
-    up whatever the irreducibles fail to reach.  Every column of T is some
-    element's, so the entries of T are exactly the products.  A round of
-    absorption gathers the new elements against the scale columns of all
-    members, and the older members only against the columns the new
-    elements add: an older y times a new x of a scale some older x' has is
-    y * x', already a member.  New scales and members are marked in boolean
-    arrays, so no round sorts."""
+    product of any two elements) must be a generator; greedy absorption then
+    adds the least element outside the subsemigroup generated so far, until
+    there is none.  Every column of T is some element's, so the entries of T
+    are exactly the products.
+
+    The table must be associative, with the scale of a product depending
+    only on the scales of its factors, as in every _scale_table.  Then a
+    product of generators g * y1 * ... * yk is T[g, c] for c the product of
+    the scales of the y's, so the subsemigroup generated by G is G ∪ T[G, W],
+    W the columns that the scale columns of G generate in the s x s scale
+    table (_scale_products).  Absorbing x closes W with x's column, in
+    semi-naive rounds over that small table, and gathers x against all of W
+    and the earlier generators only against the columns new to W: one gather
+    per generator, not rounds over every member."""
     table, sig = mult
-    n = len(sig)
+    n, s = len(sig), table.shape[1]
+    scale = _scale_products(mult)
     reducible = np.zeros(n, dtype=bool)
     reducible[table.ravel()] = True
-    inside = np.zeros(n, dtype=bool)
-    # members[:size] is the generated subsemigroup so far, in absorption order
-    members = np.empty(n, dtype=np.int32)
-    # the scale columns of the members
-    has_scale = np.zeros(table.shape[1], dtype=bool)
-
-    def absorb(new: np.ndarray, size: int) -> int:
-        # semi-naive rounds: only products with a new element can be new
-        while len(new):
-            inside[new] = True
-            lo, size = size, size + len(new)
-            members[lo:size] = new
-            fresh = np.zeros(len(has_scale), dtype=bool)
-            fresh[sig[new]] = True
-            added = np.flatnonzero(fresh & ~has_scale)
-            has_scale[added] = True
-            reached = np.zeros(n, dtype=bool)
-            reached[table[new[:, None], np.flatnonzero(has_scale)]] = True
-            reached[table[members[:lo, None], added]] = True
-            new = np.flatnonzero(reached & ~inside)
-        return size
-
     gens = np.flatnonzero(~reducible).tolist()
-    size = absorb(np.asarray(gens, dtype=np.int32), 0)
-    for x in range(n):
-        if size == n:
-            break
-        if not inside[x]:
-            gens.append(x)
-            size = absorb(np.array([x], dtype=np.int32), size)
-    return gens
+    # inside marks the subsemigroup generated so far, in_w the columns W
+    inside = ~reducible
+    in_w = np.zeros(s, dtype=bool)
+
+    def close(cols: np.ndarray) -> np.ndarray:
+        # add cols to W and close it; returns the columns new to W
+        added, new = [], cols[~in_w[cols]]
+        while len(new):
+            in_w[new] = True
+            added.append(new)
+            w = np.flatnonzero(in_w)
+            fresh = np.zeros(s, dtype=bool)
+            fresh[scale[new[:, None], w]] = True
+            fresh[scale[w[:, None], new]] = True
+            new = np.flatnonzero(fresh & ~in_w)
+        return np.concatenate(added) if added else cols[:0]
+
+    close(_distinct(sig[gens]))
+    w = np.flatnonzero(in_w)
+    inside[table[np.array(gens, dtype=np.intp)[:, None], w]] = True
+    while True:
+        x = int(np.argmin(inside))
+        if inside[x]:
+            return gens
+        added = close(sig[x : x + 1])
+        if len(added):
+            w = np.flatnonzero(in_w)
+            inside[table[np.array(gens, dtype=np.intp)[:, None], added]] = True
+        inside[x] = True
+        inside[table[x, w]] = True
+        gens.append(x)
 
 
 class _PartialIso:
@@ -411,7 +431,10 @@ class _PartialIso:
     domain is a subsemigroup and phi[x * y] = phi[x] * phi[y] on it.  Each
     multiplication is a scale-factored pair (T, sig), x * y = T[x, sig[y]]
     (_scale_table).  A scale pair (c1, c2) is coded as c1 * s2 + c2, s2 the
-    number of scale columns of the second table."""
+    number of scale columns of the second table.  Both tables must be
+    associative, with the scale of a product depending only on the scales
+    of its factors, as in every _scale_table: extend stops its closing
+    rounds on that ground."""
 
     def __init__(self, mult1, mult2, col1: np.ndarray, col2: np.ndarray):
         self.mult1, self.mult2, self.col1, self.col2 = mult1, mult2, col1, col2
@@ -433,9 +456,24 @@ class _PartialIso:
         images in the second (_forced).  Every proposed pair is forced, so
         the closure is the unique homomorphic extension whatever the order;
         on any conflict the map is restored and False returned.  Two new
-        pairs with one image show when used_by is read back after the writes."""
+        pairs with one image show when used_by is read back after the writes.
+
+        A round whose frontier adds no scale pair is the last: its forced
+        images are assigned and checked, but not gathered again.  Write
+        pair(x) for (sig1[x], sig2[phi[x]]) and * for the product of pairs
+        taken one coordinate at a time, so pair(x * y) = pair(x) * pair(y).
+        Earlier rounds put every product of two older elements domain[:lo]
+        into the domain, so when the frontier brings no new pair, the pairs
+        Q of the domain X are closed under *.  By associativity a product
+        x * y1 * ... * yk is then T1[x, c1], with image T2[phi[x], c2], for
+        (c1, c2) = pair(y1) * ... * pair(yk) in Q: X generates X ∪ T1[X, Q].
+        The round gathered the frontier against Q and the older products are
+        in X, so nothing is left to force, and the forced elements' pairs are
+        in Q, so the tracked pairs stay current.  The first round is the last
+        when (x, w) brings a scale pair the domain already has."""
         start = self.size
         xs, ws = np.array([x]), np.array([w])
+        closed = False
         while len(xs):
             # a new image must be unused and of the same colour
             if (self.used_by[ws] >= 0).any() or (self.col1[xs] != self.col2[ws]).any():
@@ -445,11 +483,18 @@ class _PartialIso:
             self.phi[xs] = ws
             self.used_by[ws] = xs
             self.domain[lo : self.size] = xs
-            forced = None if (self.used_by[ws] != xs).any() else self._forced(lo)
+            if (self.used_by[ws] != xs).any():
+                self.undo(start)
+                return False
+            if closed:
+                break
+            forced = self._forced(lo)
             if forced is None:
                 self.undo(start)
                 return False
             xs, ws = forced
+            # no new scale pair: these forced images close the domain
+            closed = self.npairs == self.pairs_at[lo]
         return True
 
     def _forced(self, lo: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -463,7 +508,9 @@ class _PartialIso:
         and a frontier f whose pair some older d has, y * f forces what y * d
         forced in an earlier round.  Scattered into a copy of phi, an x forced
         to two images reads back the other, and an assigned x forced to
-        another image changes its entry."""
+        another image changes its entry.  The frontier's new pairs are added
+        to pairs and paired, and pairs_at[lo] keeps the count before them,
+        so npairs == pairs_at[lo] tells extend that the round added none."""
         (t1, sig1), (t2, sig2) = self.mult1, self.mult2
         width = t2.shape[1]
         frontier, older = self.domain[lo : self.size], self.domain[:lo]
@@ -495,10 +542,11 @@ class _PartialIso:
 
     def undo(self, start: int) -> None:
         """Unassign everything assigned after the first start elements;
-        start is a size the domain had between two rounds."""
+        start is a size the domain had between two calls of extend."""
         xs = self.domain[start : self.size]
         if len(xs):
-            # a round began at start, so its record of the pairs is current
+            # an extend's first round began at start, so its record of the
+            # pairs is current
             had = self.pairs_at[start]
             self.paired[self.pairs[had : self.npairs]] = False
             self.npairs = had
@@ -515,14 +563,19 @@ def search_isomorphism(
     Backtracks over colour-compatible images of a generating set of s1.  Both
     multiplications are scale-factored tables (T, sig), x * y = T[x, sig[y]]
     (_scale_table), built only after the size cap admits the search; no n x n
-    table is built at all.  Every choice is closed under products in frontier
-    rounds (_PartialIso.extend) and any conflict is refused in whole arrays.  A
-    product of a frontier element with a domain element depends on the latter
-    only through its scale pair (its scale column and that of its image), so a
-    round gathers the frontier against the p distinct scale pairs of the domain
-    and the older domain against the p_new pairs the frontier adds, if any:
-    |F| p + |D_old| p_new forced pairs, not 2 |F| |D|; p = s at every witness
-    measured.  The round finds conflicts and new pairs without a sort.
+    table is built at all.  The generators are the irreducible elements, then
+    greedily the least element not yet generated, each absorbed in one
+    gather (_greedy_generators).  Every choice is closed under products in
+    frontier rounds (_PartialIso.extend) and any conflict is refused in whole
+    arrays.  A product of a frontier element with a domain element depends on
+    the latter only through its scale pair (its scale column and that of its
+    image), so a round gathers the frontier against the p distinct scale
+    pairs of the domain and the older domain against the p_new pairs the
+    frontier adds, if any: |F| p + |D_old| p_new forced pairs, not 2 |F| |D|;
+    p = s at every witness measured.  The round finds conflicts and new pairs
+    without a sort.  A round that adds no scale pair is the last, since the
+    domain's pairs are then closed under products; an image whose scale pair
+    the domain already has is closed in one round.
     That closure is the unique homomorphic extension of the chosen images, so
     neither it nor the node count depends on the order in which products are
     examined.  The backtracking runs over an explicit stack with one entry per

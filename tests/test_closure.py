@@ -736,18 +736,57 @@ def test_leaf_check_matches_all_pairs_reference(monkeypatch, m1, side1, m2, side
 
 
 def test_frontier_rounds_keep_every_block():
-    # x = 0 and y = 1 are idempotents, x*y = 2, y*x = 3, 2*2 = 4, 3*3 = 5 and
-    # every other product is y.  Every element is its own scale, so the
-    # round whose frontier is {2, 3} finds 4 and 5 through different scale
-    # pairs.
-    rows = [[1] * 6 for _ in range(6)]
-    for x, y, z in ((0, 0, 0), (1, 1, 1), (0, 1, 2), (1, 0, 3), (2, 2, 4), (3, 3, 5)):
-        rows[x][y] = z
+    # x = 0 and y = 1 are idempotents, x*y = 3 and y*x = 2.  Every element is
+    # its own scale, so the round whose frontier is {2, 3} finds 4 = 2*2 and
+    # 5 = 2*1 through different scale pairs.
+    rows = [
+        [0, 3, 4, 3, 4, 4],
+        [2, 1, 2, 5, 4, 5],
+        [2, 5, 4, 5, 4, 4],
+        [4, 3, 4, 4, 4, 4],
+        [4, 4, 4, 4, 4, 4],
+        [4, 5, 4, 4, 4, 4],
+    ]
     t = np.array(rows, dtype=np.int32)
+    # the closing rounds and the greedy rule hold on semigroups only
+    assert (t[t] == t[:, t]).all()
     assert isomorphism._greedy_generators(_whole(t)) == [0, 1]
     partial = isomorphism._PartialIso(_whole(t), _whole(t), np.zeros(6), np.zeros(6))
     assert partial.extend(1, 1) and partial.extend(0, 0)
     assert partial.phi.tolist() == list(range(6))
+
+
+# (m1, m2, closing rounds on each side) of a search for 2p vs p
+CLOSING_ROUND_CASES = [(26, 13, 19), (74, 37, 45)]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("m1,m2,rounds", CLOSING_ROUND_CASES)
+def test_closing_stops_at_a_round_that_adds_no_scale_pair(monkeypatch, side, m1, m2, rounds):
+    # a round whose frontier adds no scale pair is the last one; so is the
+    # first, when the chosen pair (x, w) brings a scale pair the domain has
+    calls = []
+    forced = isomorphism._PartialIso._forced
+
+    class Counted(isomorphism._PartialIso):
+        def _forced(self, lo):
+            calls.append(lo)
+            return forced(self, lo)
+
+        def extend(self, x, w):
+            (_, sig1), (t2, sig2) = self.mult1, self.mult2
+            known = self.paired[sig1[x] * t2.shape[1] + sig2[w]]
+            before = len(calls)
+            ok = super().extend(x, w)
+            if known:
+                assert len(calls) == before + 1
+            return ok
+
+    monkeypatch.setattr(isomorphism, "_PartialIso", Counted)
+    s1 = close_pairs(side, GroupParams.from_modulus(m1))
+    s2 = close_pairs(side, GroupParams.from_modulus(m2))
+    assert search_isomorphism(s1, s2).status is IsoStatus.ISOMORPHIC
+    assert len(calls) == rounds
 
 
 # a one-byte chunk makes every block a single frontier element
