@@ -113,7 +113,7 @@ def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> np.ndar
                 f" (image of b), table {tables[odd[0]].tolist()}"
             )
         shifts = doubled_shifts // 2 % sm
-    step = max(1, _CHUNK_BYTES // (4 * 2 * m))  # rows of int32 expected tables
+    step = max(1, _CHUNK_BYTES // (2 * 2 * m))  # rows of int16 expected tables
     for lo in range(0, len(tables), step):
         rows = slice(lo, lo + step)
         expected = function_tables(scales[rows], shifts[rows], g)

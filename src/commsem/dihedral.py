@@ -138,11 +138,14 @@ def element_index(x: DihedralElement) -> int:
 def cayley_table(g: GroupParams) -> tuple[np.ndarray, np.ndarray]:
     """The multiplication table and the inverse vector of the whole group, on
     element_index positions: mul[x, y] is the index of xy and inv[x] that of
-    x^-1.  Index arithmetic on the presentation, as in multiply and inverse."""
+    x^-1.  The table is four m x m blocks, by the presentation: a^i a^k =
+    a^(i+k), a^i a^k b = a^(i+k) b, a^i b a^k = a^(i-k) b and
+    a^i b a^k b = a^(i-k); a^i has inverse a^-i, and every reflection is its
+    own inverse."""
     m = g.m
-    index = np.arange(2 * m)
-    i, j = index % m, index // m
-    sign = 1 - 2 * j  # (-1)^j
-    mul = (j[:, None] + j[None, :]) % 2 * m + (i[:, None] + sign[:, None] * i[None, :]) % m
-    inv = np.where(j == 1, index, -i % m)
+    i = np.arange(m)
+    plus = (i[:, None] + i) % m
+    minus = (i[:, None] - i) % m
+    mul = np.block([[plus, plus + m], [minus + m, minus]])
+    inv = np.concatenate([-i % m, i + m])
     return mul, inv

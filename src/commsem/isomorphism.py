@@ -50,7 +50,7 @@ from .closure import canonicalized_elements, close_pairs
 from .dihedral import GroupParams
 from .errors import ConsistencyError, ResourceLimitError
 from .mumaps import CanonicalMap, shift_modulus
-from .raw import _CHUNK_BYTES, SemigroupSummary, _distinct
+from .raw import _CHUNK_BYTES, SemigroupSummary, _changes, _distinct
 
 ISO_ELEMENT_LIMIT = 4096
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -239,7 +239,7 @@ def _row_types(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(flat, kind="stable")
     ordered = flat[order]
     lead = np.ones(len(flat), dtype=bool)
-    lead[1:] = ordered[1:] != ordered[:-1]
+    lead[1:] = _changes(ordered[1:], ordered[:-1])
     leaders = order[lead]
     rank = np.empty(len(leaders), dtype=np.intp)
     rank[np.argsort(leaders)] = np.arange(len(leaders))

@@ -152,20 +152,21 @@ def function_table(f: AffineMap, g: GroupParams) -> tuple[int, ...]:
 
 def function_tables(scales: np.ndarray, shifts: np.ndarray, g: GroupParams) -> np.ndarray:
     """function_table of the map (scales[k], shifts[k]) as row k of one
-    int32 array.
+    int16 array.
 
     The rotation images of a row are gathered from the table of its scale,
     built once per distinct scale; the reflection images 2*shift - scale*i
     are then the doubled shift mod m minus the rotation images, plus m where
-    that is negative.
+    that is negative.  Every intermediate value lies strictly between -m and
+    m, so int16 holds them while m < 2**15.
     """
     m = g.m
     distinct, which = np.unique(np.asarray(scales, dtype=np.int64) % m, return_inverse=True)
-    scale_tables = (distinct[:, None] * np.arange(m) % m).astype(np.int32)
-    tables = np.empty((len(which), 2 * m), dtype=np.int32)
+    scale_tables = (distinct[:, None] * np.arange(m) % m).astype(np.int16)
+    tables = np.empty((len(which), 2 * m), dtype=np.int16)
     rotations, reflections = tables[:, :m], tables[:, m:]
     np.take(scale_tables, which, axis=0, out=rotations)
-    doubled_shifts = (2 * np.asarray(shifts, dtype=np.int64) % m).astype(np.int32)
+    doubled_shifts = (2 * np.asarray(shifts, dtype=np.int64) % m).astype(np.int16)
     np.subtract(doubled_shifts[:, None], rotations, out=reflections)
-    reflections += (reflections < 0) * np.int32(m)
+    reflections += (reflections < 0) * np.int16(m)
     return tables

@@ -124,17 +124,49 @@ def test_close_raw_ignores_parameter_calculus(monkeypatch):
 
 
 def test_generator_tables_match_scalar_commutators():
+    scalar = {}
     for m in range(3, 21):
         g = GroupParams.from_modulus(m)
         elems = enumerate_elements(g)
-        scalar = {
+        scalar[m] = {
             "right": [[element_index(commutator(x, y, g)) for x in elems] for y in elems],
             "left": [[element_index(commutator(y, x, g)) for x in elems] for y in elems],
         }
-        for side, tables in scalar.items():
-            assert raw._commutator_tables(side, g).tolist() == tables
+        for side, tables in scalar[m].items():
+            got = raw._commutator_tables(side, g)
+            assert got.dtype == np.uint8 and not got.flags.writeable
+            assert got.tolist() == tables
             distinct = {tuple(t) for t in tables}
             assert close_raw(side, g).generator_count == len(distinct)
+        left = raw._commutator_tables("left", g)
+        assert np.array_equal(raw._commutator_tables("right", g), left.T)
+    # the table of m = 20 is the one built last; each earlier modulus is
+    # built again, not read from it
+    for m in (5, 12, 20):
+        g = GroupParams.from_modulus(m)
+        for side, tables in scalar[m].items():
+            assert raw._commutator_tables(side, g).tolist() == tables
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 6, 8, 12, 16, 194])
+def test_distinct_rows_are_the_sorted_distinct_tables(width):
+    # rows that differ only in their first or only in their last byte,
+    # 0xFF entries, duplicates and a single row, at widths read as words of
+    # 1, 2, 4 and 8 bytes
+    zero = [0] * width
+    first = [1] + [0] * (width - 1)
+    last = [0] * (width - 1) + [1]
+    full = [0xFF] * width
+    almost = [0xFF] * (width - 1) + [0xFE]
+    for rows in (
+        [full],
+        [full, zero, full],
+        [first, last, zero, last, first],
+        [almost, full, almost, zero, full],
+    ):
+        got = raw._distinct_rows(np.array(rows, dtype=np.uint8))
+        want = [list(t) for t in sorted(set(map(tuple, rows)))]
+        assert got.view(np.uint8).reshape(-1, width).tolist() == want
 
 
 @st.composite
@@ -232,7 +264,13 @@ def test_canonicalized_elements_names_corrupted_tables():
     odd_shift[8] = 3  # the image of b is the doubled shift
     off_family = table.copy()
     off_family[3] = (off_family[3] + 1) % 8
-    for corrupt, reason in ((odd_shift, "odd doubled shift 3"), (off_family, "outside the map family")):
+    off_reflection = table.copy()
+    off_reflection[11] = (off_reflection[11] + 1) % 8  # a^3 b; b keeps its image
+    for corrupt, reason in (
+        (odd_shift, "odd doubled shift 3"),
+        (off_family, "outside the map family"),
+        (off_reflection, "outside the map family"),
+    ):
         summary = SemigroupSummary(8, "right", 1, "raw_tables", corrupt[None])
         with pytest.raises(ConsistencyError) as excinfo:
             canonicalized_elements(summary, g8)

@@ -117,7 +117,7 @@ def test_enumeration_count(m, count):
     assert [element_index(x) for x in elems] == list(range(count))
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 15, 16])
+@pytest.mark.parametrize("m", [3, 4, 5, 8, 12, 15, 16, 63, 64])
 def test_cayley_table_matches_presentation_and_polygon_model(m):
     g = GroupParams.from_modulus(m)
     elems = enumerate_elements(g)
@@ -131,6 +131,17 @@ def test_cayley_table_matches_presentation_and_polygon_model(m):
             xy = elems[mul[ix, element_index(y)]]
             assert xy == multiply(x, y, g)
             assert perm_of(xy) == perm_compose(perm_of(x), perm_of(y))
+
+
+# the largest moduli the raw oracle admits, against the scalar arithmetic
+# alone: the polygon model is slow at this size
+@pytest.mark.parametrize("m", [127, 128])
+def test_cayley_table_matches_presentation_at_the_raw_limit(m):
+    g = GroupParams.from_modulus(m)
+    elems = enumerate_elements(g)
+    mul, inv = cayley_table(g)
+    assert inv.tolist() == [element_index(inverse(x, g)) for x in elems]
+    assert mul.tolist() == [[element_index(multiply(x, y, g)) for y in elems] for x in elems]
 
 
 def test_perm_model_agreement_small():

@@ -1,6 +1,7 @@
 """Parameter-map calculus: application, identification of commutation maps,
 composition, and the functional-equality quotient."""
 
+import numpy as np
 import pytest
 
 from commsem import (
@@ -80,7 +81,7 @@ def test_function_tables_match_function_table():
         g = GroupParams.from_modulus(m)
         pairs = [(a, b) for a in range(m) for b in range(m)]
         tables = function_tables([a for a, _ in pairs], [b for _, b in pairs], g)
-        assert tables.shape == (m * m, 2 * m)
+        assert tables.dtype == np.int16 and tables.shape == (m * m, 2 * m)
         for (a, b), row in zip(pairs, tables.tolist()):
             assert tuple(row) == function_table(mu_map(a, b, g), g)
 
