@@ -27,7 +27,7 @@ import numpy as np
 from .dihedral import GroupParams, check_side
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .mumaps import CanonicalMap, alpha, beta, function_table, function_tables, shift_modulus
-from .raw import _CHUNK_BYTES, PAIRS_ORACLE, SemigroupSummary
+from .raw import PAIRS_ORACLE, SemigroupSummary, _blocks
 
 PAIRS_MODULUS_LIMIT = 4096
 
@@ -57,10 +57,10 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     subsemigroup of Z_m generated by the distinct generator scales
     (_scale_closure; at most m residues).  Each scaled generator marks its key
     in one bool bitmap of m * shift_modulus(m) entries, a block of W at a time
-    so no temporary exceeds _CHUNK_BYTES; the marked keys, read in order, are
-    the sorted elements.  The G.W scatter runs in int32: every key and every
-    product scale * w and shift * w is below m * m <= 4096 * 4096 = 2**24 < 2**31
-    for m <= PAIRS_MODULUS_LIMIT.
+    (_blocks); the marked keys, read in order, are the sorted elements.  The
+    G.W scatter runs in int32: every key and every product scale * w and
+    shift * w is below m * m <= 4096 * 4096 = 2**24 < 2**31 for
+    m <= PAIRS_MODULUS_LIMIT.
     """
     check_side(side)
     if g.m > PAIRS_MODULUS_LIMIT:
@@ -76,9 +76,8 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     gens = np.flatnonzero(seen).astype(np.int32)
     gen_scales, gen_shifts = np.divmod(gens, sm)
     scales = np.array(_scale_closure(gen_scales.tolist(), m), dtype=np.int32)
-    step = max(1, _CHUNK_BYTES // (4 * len(gens)))  # scales whose int32 keys fit
-    for lo in range(0, len(scales), step):
-        w = scales[lo : lo + step, None]
+    for block in _blocks(len(scales), 4 * len(gens)):  # scales whose int32 keys fit
+        w = scales[block, None]
         seen[gen_scales * w % m * sm + gen_shifts * w % sm] = True
     elements = np.flatnonzero(seen).astype(np.int64, copy=False)
     return SemigroupSummary(m, side, len(gens), PAIRS_ORACLE, elements)
@@ -113,13 +112,11 @@ def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> np.ndar
                 f" (image of b), table {tables[odd[0]].tolist()}"
             )
         shifts = doubled_shifts // 2 % sm
-    step = max(1, _CHUNK_BYTES // (2 * 2 * m))  # rows of int16 expected tables
-    for lo in range(0, len(tables), step):
-        rows = slice(lo, lo + step)
+    for rows in _blocks(len(tables), 2 * 2 * m):  # rows of int16 expected tables
         expected = function_tables(scales[rows], shifts[rows], g)
         outside = np.flatnonzero((tables[rows] != expected).any(axis=1))
         if len(outside):
-            t = lo + outside[0]
+            t = rows.start + outside[0]
             decoded = CanonicalMap(int(scales[t]), int(shifts[t]), m)
             raise ConsistencyError(
                 f"{stage}: raw table {tables[t].tolist()} is outside the map family;"

@@ -42,37 +42,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .closure import canonicalized_elements, close_pairs
+from .closure import canonicalized_elements
 from .dihedral import GroupParams
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .mumaps import CanonicalMap, shift_modulus
-from .raw import _CHUNK_BYTES, SemigroupSummary, _changes, _distinct
+from .raw import SemigroupSummary, _blocks, _changes, _distinct
 
 ISO_ELEMENT_LIMIT = 4096
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
-def verify_iso_map(g: GroupParams, image_rule: Callable[[int, int], tuple[int, int]]) -> bool:
-    """Whether the parameter rule is an isomorphism from the right onto the
-    left semigroup: a bijection that preserves every product."""
-    sm = shift_modulus(g.m)
-    source = close_pairs("right", g).elements
-    target = close_pairs("left", g).elements
-    _check_iso_size(max(len(source), len(target)))
-    images = np.array(
-        [CanonicalMap(*image_rule(*divmod(k, sm)), g.m).key for k in source.tolist()],
-        dtype=np.int64,
-    )
-    # a bijection onto the target exactly when the sorted images are the target
-    if not np.array_equal(np.sort(images), target):
-        return False
-    perm = np.searchsorted(target, images).astype(np.int32)
-    return _preserves_products(
-        perm, _scale_table(source, g.m, "right"), _scale_table(target, g.m, "left")
+def verify_iso_map(s1: SemigroupSummary, s2: SemigroupSummary, theta, lam) -> bool:
+    """Whether psi(A, y) = (theta[A] mod m2, lam[y] mod sm2) is an
+    isomorphism from s1 onto s2, sm = shift_modulus(m); theta needs m1
+    entries and lam sm1, or ParameterError.  As (A, y) * (B, z) = (AB, yB),
+    psi preserves every product exactly when theta[AB] = theta[A] theta[B]
+    and lam[yB] = lam[y] theta[B] for the scales A, B and shifts y of s1,
+    each pair read off some product, and it is a bijection exactly when its
+    sorted image keys are s2's: s^2 + |Y| s + n entries, no product table."""
+    m1, m2 = s1.m, s2.m
+    sm1, sm2 = shift_modulus(m1), shift_modulus(m2)
+    theta, lam = np.asarray(theta, dtype=np.int64) % m2, np.asarray(lam, dtype=np.int64) % sm2
+    if theta.shape != (m1,) or lam.shape != (sm1,):
+        raise ParameterError(
+            f"theta needs {m1} entries and lam {sm1}, got {theta.shape} and {lam.shape}"
+        )
+    scales, shifts = np.divmod(canonicalized_elements(s1, GroupParams.from_modulus(m1)), sm1)
+    keys2 = canonicalized_elements(s2, GroupParams.from_modulus(m2))
+    u, y = _distinct(scales), _distinct(shifts)
+    return (
+        np.array_equal(np.sort(theta[scales] * sm2 + lam[shifts]), keys2)
+        and np.array_equal(theta[u[:, None] * u % m1], theta[u, None] * theta[u] % m2)
+        and np.array_equal(lam[y[:, None] * u % sm1], lam[y, None] * theta[u] % sm2)
     )
 
 
@@ -101,15 +106,6 @@ class IsoSearchResult:
         keys1, m1, keys2, m2, image = self.found
         decode = CanonicalMap.from_key
         return {decode(keys1[x], m1): decode(keys2[w], m2) for x, w in enumerate(image)}
-
-
-def _check_iso_size(n: int) -> None:
-    """Refuse an isomorphism search or check over n elements above the cap,
-    before any product table is built."""
-    if n > ISO_ELEMENT_LIMIT:
-        raise ResourceLimitError(
-            f"isomorphism search limited to {ISO_ELEMENT_LIMIT} elements, got {n}"
-        )
 
 
 def _scale_table(keys: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -158,13 +154,10 @@ def _preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
     depend on y only through its scale pair (sig1[y], sig2[perm[y]]), so
     comparing perm[T1[:, c1]] with T2[perm, c2] once for each distinct pair
     (c1, c2) covers every pair (x, y): O(n p) work for p distinct pairs.
-    The pairs are compared a block at a time, so no temporary exceeds
-    _CHUNK_BYTES."""
+    The pairs are compared a block at a time (_blocks)."""
     (t1, _), (t2, _) = mult1, mult2
     c1, c2 = _scale_pairs(mult1, mult2, np.arange(len(perm)), perm)
-    step = max(1, _CHUNK_BYTES // (4 * len(perm)))  # pairs of int32 product columns
-    for lo in range(0, len(c1), step):
-        pairs = slice(lo, lo + step)
+    for pairs in _blocks(len(c1), 4 * len(perm)):  # pairs of int32 product columns
         if not np.array_equal(perm[t1[:, c1[pairs]]], t2[perm[:, None], c2[pairs]]):
             return False
     return True
@@ -287,8 +280,7 @@ def _stamps(mult, col: np.ndarray, width: int) -> tuple[Iterator[np.ndarray], np
     The codes stay below width**3, so int64 holds them for width < 2**21,
     whatever s is; width is at most the 2n colours of both semigroups.  The
     rows are n x (s + 2) int32, which holds every scale column and colour.
-    The stamps are built a block of types at a time, so each block's codes,
-    one per pair of types, fit _CHUNK_BYTES.
+    The stamps are built a block of types at a time (_blocks).
     """
     table, sig = mult
     # x's row is sig[x], col[x], then colored[x]
@@ -302,11 +294,10 @@ def _stamps(mult, col: np.ndarray, width: int) -> tuple[Iterator[np.ndarray], np
     type_sig, type_col = sig[first], col[first]
     colored = row_keys[first, 2:]  # colored[r, sig[y]] is the colour of x * y, x of type r
     del row_keys
-    step = max(1, _CHUNK_BYTES // (8 * types))  # types of int64 codes
 
     def stamps() -> Iterator[np.ndarray]:
-        for lo in range(0, types, step):
-            rows = np.arange(lo, min(lo + step, types))
+        for block in _blocks(types, 8 * types):  # types of int64 codes
+            rows = np.arange(block.start, block.stop)
             # codes[i, q]: y of type q in the stamp of x of type rows[i]
             codes = (type_col * width + colored[rows][:, type_sig]) * width
             codes += colored[:, type_sig[rows]].T
@@ -600,7 +591,10 @@ def search_isomorphism(
     if s1.m == s2.m and np.array_equal(e1, e2):
         # same element set under the same composition rule: identity works
         return IsoSearchResult(IsoStatus.ISOMORPHIC, 0, witness(list(range(n))))
-    _check_iso_size(n)
+    if n > ISO_ELEMENT_LIMIT:
+        raise ResourceLimitError(
+            f"isomorphism search limited to {ISO_ELEMENT_LIMIT} elements, got {n}"
+        )
     mult1 = _scale_table(e1, s1.m, s1.side)
     mult2 = _scale_table(e2, s2.m, s2.side)
     colors = _refine_colors(mult1, mult2)

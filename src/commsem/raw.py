@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +45,13 @@ PAIRS_ORACLE = "mu_pairs"
 
 # bytes in one temporary array of a chunked numpy step
 _CHUNK_BYTES = 1 << 20
+
+
+def _blocks(count: int, item_bytes: int) -> Iterator[slice]:
+    """The slices of range(count), in order, as long as their items of
+    item_bytes each fit _CHUNK_BYTES, and at least one item long."""
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    return (slice(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 @dataclass(frozen=True, slots=True, eq=False)

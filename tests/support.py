@@ -644,6 +644,19 @@ def reference_preserves_products(perm: np.ndarray, mult1, mult2) -> bool:
     return True
 
 
+def reference_verify_iso_map(s1, s2, theta, lam) -> bool:
+    """Reference for isomorphism.verify_iso_map: map each element (A, y) of
+    s1 to (theta[A], lam[y]) one at a time, require the images to be the
+    elements of s2, each once, and compare psi(f then h) with psi(f) then
+    psi(h) for all n^2 pairs of elements, composed by CanonicalMap.then."""
+    m1, m2 = s1.m, s2.m
+    source = [CanonicalMap.from_key(k, m1) for k in s1.elements.tolist()]
+    psi = {f: CanonicalMap(int(theta[f.scale]), int(lam[f.shift_class]), m2) for f in source}
+    if sorted(h.key for h in psi.values()) != s2.elements.tolist():
+        return False
+    return all(psi[f.then(h)] == psi[f].then(psi[h]) for f in source for h in source)
+
+
 def reference_greedy_generators(mult) -> list[int]:
     """Reference for isomorphism._greedy_generators: the irreducible elements,
     then greedy absorption, each round gathering the new elements against

@@ -113,7 +113,7 @@ def test_criterion_5_counterexample_suite():
         l8 = close_pairs("left", g8)
         assert p8.size == 10 and l8.size == 10
         assert not np.array_equal(p8.elements, l8.elements)
-        assert verify_iso_map(g8, lambda a, b: (3 * a, b))
+        assert verify_iso_map(p8, l8, 3 * np.arange(8), np.arange(4))
         assert np.isin(p8.elements, l8.elements, invert=True).any()
         assert np.isin(l8.elements, p8.elements, invert=True).any()
 

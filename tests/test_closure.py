@@ -17,6 +17,7 @@ from commsem import (
     GroupParams,
     IsoSearchResult,
     IsoStatus,
+    ParameterError,
     ResourceLimitError,
     SemigroupSummary,
     canonicalized_elements,
@@ -43,6 +44,7 @@ from support import (
     reference_refine_colors,
     reference_shared_colors,
     reference_stamp,
+    reference_verify_iso_map,
     scalar_extend,
     scalar_monogenic_profile,
 )
@@ -364,18 +366,100 @@ def test_closure_idempotence_random_pairs():
                 assert f.then(h).key in universe
 
 
+def _sides(m):
+    """P(D_m) and L(D_m) from the pair oracle."""
+    g = GroupParams.from_modulus(m)
+    return close_pairs("right", g), close_pairs("left", g)
+
+
 def test_verify_iso_map_examples():
-    g8 = GroupParams.from_modulus(8)
-    assert verify_iso_map(g8, lambda a, b: (3 * a, b))
+    p8, l8 = _sides(8)
+    assert verify_iso_map(p8, l8, 3 * np.arange(8), np.arange(4))
     # the identity rule sends some of P(D_8) outside L(D_8)
-    assert not verify_iso_map(g8, lambda a, b: (a, b))
+    assert not verify_iso_map(p8, l8, np.arange(8), np.arange(4))
     # the two sides of D_5 coincide as sets, so the identity rule works
-    g5 = GroupParams.from_modulus(5)
-    assert verify_iso_map(g5, lambda a, b: (a, b))
+    p5, l5 = _sides(5)
+    assert verify_iso_map(p5, l5, np.arange(5), np.arange(5))
     # swapping shift classes 1 and 2 is a bijection but breaks composition
-    assert not verify_iso_map(g5, lambda a, b: (a, {1: 2, 2: 1}.get(b, b)))
+    assert not verify_iso_map(p5, l5, np.arange(5), [0, 2, 1, 3, 4])
     # every image has shift class 0, so the rule is not a bijection
-    assert not verify_iso_map(g8, lambda a, b: (3 * a, 0))
+    assert not verify_iso_map(p8, l8, 3 * np.arange(8), np.zeros(4))
+    # the raw oracle's tables are read as the same keys
+    g8 = GroupParams.from_modulus(8)
+    assert verify_iso_map(close_raw("right", g8), close_raw("left", g8), 3 * np.arange(8), np.arange(4))
+
+
+def _factor_checks(s1, s2, theta, lam):
+    """The three conditions verify_iso_map joins, each on its own and one
+    scale or shift at a time: (bijective, multiplicative, intertwining)."""
+    m1, m2 = s1.m, s2.m
+    sm1, sm2 = mumaps.shift_modulus(m1), mumaps.shift_modulus(m2)
+    pairs = [divmod(k, sm1) for k in s1.elements.tolist()]
+    scales, shifts = {a for a, _ in pairs}, {y for _, y in pairs}
+    return (
+        sorted(theta[a] % m2 * sm2 + lam[y] % sm2 for a, y in pairs) == s2.elements.tolist(),
+        all((theta[a * b % m1] - theta[a] * theta[b]) % m2 == 0 for a in scales for b in scales),
+        all((lam[y * b % sm1] - lam[y] * theta[b]) % sm2 == 0 for y in shifts for b in scales),
+    )
+
+
+# each mutant fails exactly one of the three conditions: P(D_4) = L(D_4) with
+# scales 0 and 2 swapped is not multiplicative, D_5 with shift classes 1 and
+# 2 swapped does not intertwine, (3A, 0) at m = 8 is not a bijection, and the
+# reduction mod 3 carries P(D_9) onto P(D_3) but not one to one
+@pytest.mark.parametrize(
+    "m1,side2,m2,theta,lam,failing",
+    [
+        (4, "left", 4, [2, 0, 0, 0], [0, 1], 1),
+        (5, "left", 5, [0, 1, 2, 3, 4], [0, 2, 1, 3, 4], 2),
+        (8, "left", 8, [0, 3, 6, 9, 12, 15, 18, 21], [0, 0, 0, 0], 0),
+        (9, "right", 3, list(range(9)), list(range(9)), 0),
+    ],
+)
+def test_verify_iso_map_rejects_each_mutant(m1, side2, m2, theta, lam, failing):
+    s1 = close_pairs("right", GroupParams.from_modulus(m1))
+    s2 = close_pairs(side2, GroupParams.from_modulus(m2))
+    checks = _factor_checks(s1, s2, theta, lam)
+    assert [i for i, ok in enumerate(checks) if not ok] == [failing]
+    assert not verify_iso_map(s1, s2, theta, lam)
+    assert not reference_verify_iso_map(s1, s2, theta, lam)
+
+
+def test_verify_iso_map_rejects_wrong_lengths():
+    p8, l8 = _sides(8)
+    for theta, lam in ((np.arange(7), np.arange(4)), (np.arange(8), np.arange(8))):
+        with pytest.raises(ParameterError):
+            verify_iso_map(p8, l8, theta, lam)
+
+
+def test_verify_iso_map_matches_all_pairs_reference():
+    rng = np.random.default_rng(22)
+    verdicts = []
+    for m in range(3, 17):
+        sm = mumaps.shift_modulus(m)
+        p, l = _sides(m)
+        for s1, s2 in ((p, l), (p, p), (l, l)):
+            for trial in range(10):
+                # c A with u y, or with a random lam
+                theta = rng.integers(0, m) * np.arange(m)
+                if trial % 2:
+                    lam = rng.integers(0, sm) * np.arange(sm)
+                else:
+                    lam = rng.integers(0, sm, sm)
+                verdict = verify_iso_map(s1, s2, theta, lam)
+                assert verdict == reference_verify_iso_map(s1, s2, theta, lam), (m, theta, lam)
+                verdicts.append(verdict)
+    assert len(verdicts) == 420 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_verify_iso_map_reduces_2p_to_p():
+    # theta(A) = A mod p and lam = identity carry both sides of D_2p onto D_p
+    for p in range(3, 200, 2):
+        g2p, gp = GroupParams.from_modulus(2 * p), GroupParams.from_modulus(p)
+        for side in ("right", "left"):
+            assert verify_iso_map(
+                close_pairs(side, g2p), close_pairs(side, gp), np.arange(2 * p), np.arange(p)
+            ), (p, side)
 
 
 def test_search_same_modulus():
@@ -566,10 +650,10 @@ def test_row_types_number_rows_by_first_occurrence():
 
 
 # a one-byte chunk makes every block of stamps a single type's
-@pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("chunk_bytes", [raw._CHUNK_BYTES, 1])
 @pytest.mark.parametrize("m,side", [(15, "right"), (24, "left"), (26, "right"), (13, "left")])
 def test_stamp_rows_match_whole_table_reference(monkeypatch, m, side, chunk_bytes):
-    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(raw, "_CHUNK_BYTES", chunk_bytes)
     scaled, sig = _table(m, side)
     t = scaled[:, sig]
     n = len(t)
@@ -707,15 +791,16 @@ def test_search_memory_below_n_squared_bytes():
     assert right.size == 3515 and peak < right.size**2
 
 
-def test_verify_iso_map_refuses_above_cap(monkeypatch):
+def test_verify_iso_map_answers_without_a_table(monkeypatch):
     def no_table(*_args):
         raise AssertionError("the product table must not be built")
 
     monkeypatch.setattr(isomorphism, "_scale_table", no_table)
-    # |P| = |L| = 10201 at m = 101, above the cap
-    with pytest.raises(ResourceLimitError) as info:
-        verify_iso_map(GroupParams.from_modulus(101), lambda a, b: (a, b))
-    assert "10201" in str(info.value) and str(isomorphism.ISO_ELEMENT_LIMIT) in str(info.value)
+    # |P| = |L| = 10201 at m = 101, above the search's cap; both sides are
+    # one set, so the identity rule is an isomorphism
+    p, l = _sides(101)
+    assert p.size == 10201 > isomorphism.ISO_ELEMENT_LIMIT
+    assert verify_iso_map(p, l, np.arange(101), np.arange(101))
 
 
 def _table(m, side):
@@ -750,10 +835,10 @@ LEAF_CASES = [(20, "right", 20, "left"), (74, "right", 37, "right"), (100, "righ
 
 
 # a one-byte chunk compares one scale pair at a time
-@pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
+@pytest.mark.parametrize("chunk_bytes", [raw._CHUNK_BYTES, 1])
 @pytest.mark.parametrize("m1,side1,m2,side2", LEAF_CASES)
 def test_leaf_check_matches_all_pairs_reference(monkeypatch, m1, side1, m2, side2, chunk_bytes):
-    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(raw, "_CHUNK_BYTES", chunk_bytes)
     s1 = close_pairs(side1, GroupParams.from_modulus(m1))
     s2 = close_pairs(side2, GroupParams.from_modulus(m2))
     witness = np.array(_witness_images(search_isomorphism(s1, s2), s1, s2), dtype=np.int32)
@@ -827,13 +912,15 @@ def test_closing_stops_at_a_round_that_adds_no_scale_pair(monkeypatch, side, m1,
     assert len(calls) == rounds
 
 
-# a one-byte chunk makes every block a single frontier element
-@pytest.mark.parametrize("chunk_bytes", [isomorphism._CHUNK_BYTES, 1])
+# a one-byte chunk runs the chunked loops this test reaches (the stamps, the
+# pair closure and the leaf check) one item at a time; the closing rounds
+# that extend runs are not chunked
+@pytest.mark.parametrize("chunk_bytes", [raw._CHUNK_BYTES, 1])
 @pytest.mark.parametrize("m1,side1,m2,side2", PROPAGATION_CASES)
 def test_frontier_propagation_matches_scalar_reference(
     monkeypatch, m1, side1, m2, side2, chunk_bytes
 ):
-    monkeypatch.setattr(isomorphism, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(raw, "_CHUNK_BYTES", chunk_bytes)
     mult1, mult2 = _table(m1, side1), _table(m2, side2)
     # the scalar reference runs on the expanded n x n tables
     t1, t2 = (scaled[:, sig] for scaled, sig in (mult1, mult2))
