@@ -81,14 +81,19 @@ def build_row(m: int, verify_level: str) -> TableRow:
     formula = {"right": rep.p_order, "left": rep.lambda_order}
     verified = "formula_only"
     if verify_level in ("pairs", "raw"):
+        # a side's pair keys stay alive only when the raw oracle compares them,
+        # so under --verify pairs one side's elements are held at a time
         pairs = {}
         for side in SIDES:
-            summary = pairs[side] = close_pairs(side, g)
+            summary = close_pairs(side, g)
             if summary.size != formula[side]:
                 raise VerificationFailure(
                     f"m={m} side={side}: formula value {formula[side]} != "
                     f"pair-oracle value {summary.size}"
                 )
+            if verify_level == "raw":
+                pairs[side] = summary.elements
+            del summary
         verified = "pairs_verified"
         if verify_level == "raw":
             for side in SIDES:
@@ -99,7 +104,7 @@ def build_row(m: int, verify_level: str) -> TableRow:
                         f"raw-oracle value {raw.size}"
                     )
                 raw_keys = canonicalized_elements(raw, g)
-                pair_keys = pairs[side].elements
+                pair_keys = pairs[side]
                 if not np.array_equal(raw_keys, pair_keys):
                     # sorted, duplicate-free and both of the formula's size: where
                     # they first differ, the smaller key is in one set only

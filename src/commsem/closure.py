@@ -57,10 +57,17 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     subsemigroup of Z_m generated by the distinct generator scales
     (_scale_closure; at most m residues).  Each scaled generator marks its key
     in one bool bitmap of m * shift_modulus(m) entries, a block of W at a time
-    (_blocks); the marked keys, read in order, are the sorted elements.  The
-    G.W scatter runs in int32: every key and every product scale * w and
-    shift * w is below m * m <= 4096 * 4096 = 2**24 < 2**31 for
-    m <= PAIRS_MODULUS_LIMIT.
+    (_blocks); the marked keys, read in order, are the sorted elements.
+
+    The generators come in two families, one per s in {0, 1}: the scale
+    c_s = sign * beta(s) mod m with the shifts sign * alpha(s) * r mod sm for r
+    in Z_m.  Since alpha(s) = +-1 and sm divides m, each family's shifts are
+    all of Z_sm, so a generator (c_s, y) scaled by w has the key
+    (c_s * w mod m) * sm + (y * w mod sm): a row of scale parts per family
+    plus one block of shift parts that both families share.  The shift block
+    is int32, since y * w < sm * m <= 2**24 for m <= PAIRS_MODULUS_LIMIT, and
+    its remainders are taken by floor division by sm, which numpy does with a
+    precomputed reciprocal; the keys are intp, the scatter's own index type.
     """
     check_side(side)
     if g.m > PAIRS_MODULUS_LIMIT:
@@ -68,19 +75,24 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     m = g.m
     sm = shift_modulus(m)
     sign = -1 if side == "left" else 1
-    # keys are written inline as scale * sm + shift_class (CanonicalMap.key)
+    # row c of the bitmap holds the keys c * sm + shift_class of scale c (CanonicalMap.key)
     seen = np.zeros(m * sm, dtype=bool)
-    r = np.arange(m, dtype=np.int64)
-    for s in (0, 1):
-        seen[sign * beta(s) % m * sm + sign * r * alpha(s) % sm] = True
-    gens = np.flatnonzero(seen).astype(np.int32)
-    gen_scales, gen_shifts = np.divmod(gens, sm)
-    scales = np.array(_scale_closure(gen_scales.tolist(), m), dtype=np.int32)
-    for block in _blocks(len(scales), 4 * len(gens)):  # scales whose int32 keys fit
-        w = scales[block, None]
-        seen[gen_scales * w % m * sm + gen_shifts * w % sm] = True
+    rows = seen.reshape(m, sm)
+    r = np.arange(m, dtype=np.int32)
+    family_scales = [sign * beta(s) % m for s in (0, 1)]
+    for s, c in enumerate(family_scales):
+        rows[c, sign * alpha(s) * r % sm] = True
+    generator_count = int(np.count_nonzero(seen))
+    shifts = np.arange(sm, dtype=np.int32)
+    scales = np.array(_scale_closure(family_scales, m), dtype=np.int32)
+    for block in _blocks(len(scales), 8 * sm):  # scales whose intp keys of one family fit
+        w = scales[block]
+        products = np.multiply.outer(w, shifts)
+        products -= products // sm * sm
+        for c in family_scales:
+            seen[(c * w % m * sm).astype(np.intp)[:, None] + products] = True
     elements = np.flatnonzero(seen).astype(np.int64, copy=False)
-    return SemigroupSummary(m, side, len(gens), PAIRS_ORACLE, elements)
+    return SemigroupSummary(m, side, generator_count, PAIRS_ORACLE, elements)
 
 
 def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> np.ndarray:

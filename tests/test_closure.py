@@ -304,6 +304,25 @@ def test_close_pairs_matches_scalar_worklist(moduli):
             assert summary.generator_count == generator_count, (m, side)
 
 
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 12])
+def test_close_pairs_matches_scalar_worklist_in_blocks(monkeypatch, chunk_bytes):
+    # W in blocks of one scale each, or of a few with a short last block
+    # (m = 127 and 255 at 4 KiB), against the scalar worklist
+    monkeypatch.setattr(raw, "_CHUNK_BYTES", chunk_bytes)
+    test_close_pairs_matches_scalar_worklist([15, 64, 96, 127, 255, 509])
+
+
+def test_each_generator_family_has_every_shift():
+    # close_pairs computes one block of shift products for both families of
+    # generators, which holds because each family's shifts are all of Z_sm
+    for m in range(3, 513):
+        sm = mumaps.shift_modulus(m)
+        for sign in (1, -1):
+            for s in (0, 1):
+                shifts = {sign * mumaps.alpha(s) * r % sm for r in range(m)}
+                assert shifts == set(range(sm)), (m, sign, s)
+
+
 def test_close_pairs_ignores_formula_routes(monkeypatch):
     # the pair oracle checks the order formulas, so it may use none of them;
     # the expected orders are computed before every route raises
