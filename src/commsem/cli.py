@@ -103,7 +103,7 @@ def build_row(m: int, verify_level: str) -> TableRow:
                         f"m={m} side={side}: formula value {formula[side]} != "
                         f"raw-oracle value {raw.size}"
                     )
-                raw_keys = canonicalized_elements(raw, g)
+                raw_keys = canonicalized_elements(raw)
                 pair_keys = pairs[side]
                 if not np.array_equal(raw_keys, pair_keys):
                     # sorted, duplicate-free and both of the formula's size: where

@@ -13,9 +13,9 @@ formulas it checks: nothing here imports the containers, the order routes,
 the modular arithmetic or the central series.
 
 canonicalized_elements reads either oracle's elements as sorted CanonicalMap
-keys, decoding the raw oracle's tables (close_raw, raw.py) and checking each
-entrywise against the map family, so the two oracles compare as two sorted
-key arrays.
+keys, decoding the raw oracle's uint8 tables (close_raw, raw.py) and checking
+each entrywise against the map family, so the two oracles compare as two
+sorted key arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .dihedral import GroupParams, check_side
-from .errors import ConsistencyError, ParameterError, ResourceLimitError
+from .errors import ConsistencyError, ResourceLimitError
 from .mumaps import CanonicalMap, alpha, beta, function_table, function_tables, shift_modulus
 from .raw import PAIRS_ORACLE, SemigroupSummary, _blocks
 
@@ -62,12 +62,13 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     The generators come in two families, one per s in {0, 1}: the scale
     c_s = sign * beta(s) mod m with the shifts sign * alpha(s) * r mod sm for r
     in Z_m.  Since alpha(s) = +-1 and sm divides m, each family's shifts are
-    all of Z_sm, so a generator (c_s, y) scaled by w has the key
-    (c_s * w mod m) * sm + (y * w mod sm): a row of scale parts per family
-    plus one block of shift parts that both families share.  The shift block
-    is int32, since y * w < sm * m <= 2**24 for m <= PAIRS_MODULUS_LIMIT, and
-    its remainders are taken by floor division by sm, which numpy does with a
-    precomputed reciprocal; the keys are intp, the scatter's own index type.
+    all of Z_sm.  So family 0, of scale c_0 = 0, scaled by any w is (0, y * w),
+    a generator already, and only family 1 is scaled: (c_1, y) scaled by w has
+    the key (c_1 * w mod m) * sm + (y * w mod sm), a row of scale parts plus a
+    block of shift parts.  The shift block is int32, since y * w < sm * m <=
+    2**24 for m <= PAIRS_MODULUS_LIMIT, and its remainders are taken by floor
+    division by sm, which numpy does with a precomputed reciprocal; the keys
+    are intp, the scatter's own index type.
     """
     check_side(side)
     if g.m > PAIRS_MODULUS_LIMIT:
@@ -85,17 +86,17 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     generator_count = int(np.count_nonzero(seen))
     shifts = np.arange(sm, dtype=np.int32)
     scales = np.array(_scale_closure(family_scales, m), dtype=np.int32)
-    for block in _blocks(len(scales), 8 * sm):  # scales whose intp keys of one family fit
+    c1 = family_scales[1]
+    for block in _blocks(len(scales), 8 * sm):  # scales whose intp keys fit
         w = scales[block]
         products = np.multiply.outer(w, shifts)
         products -= products // sm * sm
-        for c in family_scales:
-            seen[(c * w % m * sm).astype(np.intp)[:, None] + products] = True
+        seen[(c1 * w % m * sm).astype(np.intp)[:, None] + products] = True
     elements = np.flatnonzero(seen).astype(np.int64, copy=False)
     return SemigroupSummary(m, side, generator_count, PAIRS_ORACLE, elements)
 
 
-def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> np.ndarray:
+def canonicalized_elements(summary: SemigroupSummary) -> np.ndarray:
     """The elements as a sorted, read-only int64 array of CanonicalMap keys,
     decoding raw tables when needed.
 
@@ -104,11 +105,10 @@ def canonicalized_elements(summary: SemigroupSummary, g: GroupParams) -> np.ndar
     entrywise; any mismatch means the closure produced a non-member of the
     family and is a hard error.
     """
-    if summary.m != g.m:
-        raise ParameterError("summary modulus does not match group modulus")
     if summary.oracle == PAIRS_ORACLE:
         return summary.elements
-    m = g.m
+    m = summary.m
+    g = GroupParams.from_modulus(m)
     sm = shift_modulus(m)
     stage = f"m={m} side={summary.side} stage=canonicalized_elements"
     tables = summary.elements

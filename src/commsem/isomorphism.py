@@ -47,7 +47,6 @@ from typing import Iterator
 import numpy as np
 
 from .closure import canonicalized_elements
-from .dihedral import GroupParams
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .mumaps import CanonicalMap, shift_modulus
 from .raw import SemigroupSummary, _blocks, _changes, _distinct
@@ -71,8 +70,8 @@ def verify_iso_map(s1: SemigroupSummary, s2: SemigroupSummary, theta, lam) -> bo
         raise ParameterError(
             f"theta needs {m1} entries and lam {sm1}, got {theta.shape} and {lam.shape}"
         )
-    scales, shifts = np.divmod(canonicalized_elements(s1, GroupParams.from_modulus(m1)), sm1)
-    keys2 = canonicalized_elements(s2, GroupParams.from_modulus(m2))
+    scales, shifts = np.divmod(canonicalized_elements(s1), sm1)
+    keys2 = canonicalized_elements(s2)
     u, y = _distinct(scales), _distinct(shifts)
     return (
         np.array_equal(np.sort(theta[scales] * sm2 + lam[shifts]), keys2)
@@ -581,8 +580,8 @@ def search_isomorphism(
     """
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
-    e1 = canonicalized_elements(s1, GroupParams.from_modulus(s1.m))
-    e2 = canonicalized_elements(s2, GroupParams.from_modulus(s2.m))
+    e1 = canonicalized_elements(s1)
+    e2 = canonicalized_elements(s2)
     n = len(e1)
 
     def witness(image: list[int]) -> tuple:

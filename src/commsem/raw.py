@@ -14,16 +14,17 @@ reads g1 ... gk on U only, and there it is the product of the restrictions
 g1|U ... gk|U.  The closure is the generators G and every "g then w" for g
 in G and w in W, the semigroup the restrictions generate.  W is small (at
 most 111 tables of |U| entries for m <= 128) and is closed by a worklist
-over its tables as bytes; G.W is composed a bounded block of W at a time.
-Every table is uint8, from the commutator table, gathered once per modulus
-for both sides, to the closed store.  Dedup is exact: each table is one void
+over its tables as bytes; G.W reads each generator through U and is
+composed a bounded block of W at a time (_blocks).  Every table is uint8,
+from the commutator table, gathered once per modulus for both sides, to the
+closed store that close_raw returns.  Dedup is exact: each table is one void
 scalar, so sorting and searching compare whole tables byte for byte, and
 sorted tables are told apart by comparing them as matrices of machine words
 (_changes).
 
 Each oracle holds its elements in one read-only numpy array
 (SemigroupSummary): sorted CanonicalMap keys for the pair oracle, and the
-int16 image tables, one row per element, for the raw oracle.
+uint8 image tables, one row per element, for the raw oracle.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ class SemigroupSummary:
     """One closed commutation semigroup with its elements and provenance.
 
     elements is a read-only array: sorted int64 CanonicalMap keys for the
-    pair oracle (decode with CanonicalMap.from_key), and an (n, 2m) int16
-    array of image tables, one row per element, for the raw oracle.
+    pair oracle (decode with CanonicalMap.from_key), and an (n, 2m) uint8
+    array of image tables, one row per element, in byte order, for the raw
+    oracle (decode with canonicalized_elements).
     """
 
     m: int
@@ -113,25 +115,24 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
         raise ResourceLimitError(f"raw closure limited to m <= {RAW_MODULUS_LIMIT}")
     tables = _commutator_tables(side, g)
     gens = _distinct_rows(tables).view(np.uint8).reshape(-1, tables.shape[1])
-    elements = _close_tables(gens).astype(np.int16)
-    return SemigroupSummary(g.m, side, len(gens), RAW_ORACLE, elements)
+    return SemigroupSummary(g.m, side, len(gens), RAW_ORACLE, _close_tables(gens))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct entries of a 1-d array, by one sort and a mask of
-    changes between neighbours (a plain np.unique imports numpy.ma on first
-    use, about 12 ms)."""
+    """The sorted distinct entries of a 1-d integer or void array, by one
+    sort and a mask of changes between neighbours (_changes; a plain
+    np.unique imports numpy.ma on first use, about 12 ms)."""
     ordered = np.sort(values)
     keep = np.ones(len(ordered), dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
+    keep[1:] = _changes(ordered[1:], ordered[:-1])
     return ordered[keep]
 
 
 def _changes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether each row of a differs from the row at the same place in b,
-    for two equal-length 1-d void arrays of one itemsize;
-    _changes(ordered[1:], ordered[:-1]) marks where the rows of a sorted
-    array change.  The rows are read as matrices of the widest unsigned
+    """Whether each entry of a differs from the entry at the same place in
+    b, for two equal-length 1-d integer or void arrays of one dtype;
+    _changes(ordered[1:], ordered[:-1]) marks where the entries of a sorted
+    array change.  The entries are read as matrices of the widest unsigned
     word that divides them, which numpy compares up to four times faster
     than void scalars on the rows sorted here."""
     k = math.gcd(a.dtype.itemsize, 8)
@@ -142,12 +143,9 @@ def _changes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _distinct_rows(tables: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D uint8 array in byte order, each as one
     void scalar, so that sorting and searching read whole rows byte for
-    byte; one sort, then the mask of changes between neighbours."""
+    byte: _distinct of the rows as void scalars."""
     tables = np.ascontiguousarray(tables)
-    ordered = np.sort(tables.view(f"V{tables.shape[1]}").ravel())
-    keep = np.ones(len(ordered), dtype=bool)
-    keep[1:] = _changes(ordered[1:], ordered[:-1])
-    return ordered[keep]
+    return _distinct(tables.view(f"V{tables.shape[1]}").ravel())
 
 
 def _close_tables(gens: np.ndarray) -> np.ndarray:
@@ -157,16 +155,18 @@ def _close_tables(gens: np.ndarray) -> np.ndarray:
     Every generator maps into U, the union of the generators' images, so the
     products are G u G.W: the generators, and "g then w" for every generator
     g and every w in W, the semigroup generated by the restrictions gens[:, U].
-    W is closed by a worklist over its tables as bytes, each entry a position
-    in U: "w then h" is w.translate(h), since (w then h)[a] = h[w[a]].  G.W is
-    composed a block of W at a time, each block's products within
-    _CHUNK_BYTES, and merged into the sorted store of distinct tables.
+    Both read the generators through U, as at[j, x], the position in U of
+    gens[j][x].  W is closed by a worklist over its tables as bytes, each entry
+    a position in U: "w then h" is w.translate(h), since (w then h)[a] =
+    h[w[a]].  G.W is composed a block of W at a time (_blocks) and merged into
+    the sorted store of distinct tables.
     """
     k, n = gens.shape
     u = np.flatnonzero(np.bincount(gens.ravel(), minlength=n))
     position = np.zeros(n, dtype=np.uint8)  # position[u[a]] = a
     position[u] = np.arange(len(u))
-    restrictions = {t.tobytes() for t in position[gens[:, u]]}
+    at = position[gens]  # at[j, x] = a where gens[j][x] = u[a]
+    restrictions = {t.tobytes() for t in at[:, u]}
     translations = [h.ljust(256, b"\0") for h in restrictions]
     w_known = set(restrictions)
     stack = list(w_known)
@@ -182,18 +182,14 @@ def _close_tables(gens: np.ndarray) -> np.ndarray:
     w_positions = np.frombuffer(b"".join(sorted(w_known)), dtype=np.uint8)
     w_images = u.astype(np.uint8)[w_positions.reshape(-1, len(u))]
     store = _distinct_rows(gens)
-    index = gens.astype(np.intp)
-    step = max(1, _CHUNK_BYTES // (k * n))  # tables of W whose uint8 products fit
-    # a block of W as n-entry tables, which the products read on U only
-    full = np.zeros((min(step, len(w_images)), n), dtype=np.uint8)
-    for lo in range(0, len(w_images), step):
-        block = w_images[lo : lo + step]
-        full[: len(block), u] = block
-        # products[i, j, x] = (gens[j] then block[i])(x) = block[i][gens[j][x]]
-        products = np.take(full[: len(block)], index, axis=1)
+    index = at.astype(np.intp)
+    for block in _blocks(len(w_images), k * n):  # tables of W whose uint8 products fit
+        # products[i, j, x] = (gens[j] then w_i)(x) = w_i(u[at[j, x]]) for the
+        # i-th table w_i of the block, whose images of U are its row of w_images
+        products = np.take(w_images[block], index, axis=1)
         found = _distinct_rows(products.reshape(-1, n))
-        at = np.searchsorted(store, found)
-        new = at == len(store)
-        new[~new] = _changes(store[at[~new]], found[~new])
-        store = np.insert(store, at[new], found[new])
+        where = np.searchsorted(store, found)
+        new = where == len(store)
+        new[~new] = _changes(store[where[~new]], found[~new])
+        store = np.insert(store, where[new], found[new])
     return store.view(np.uint8).reshape(-1, n)

@@ -455,7 +455,7 @@ def check_oracle_agreement(m_values) -> None:
             raw = close_raw(side, g)
             pairs = close_pairs(side, g)
             assert raw.size == pairs.size
-            assert np.array_equal(canonicalized_elements(raw, g), pairs.elements)
+            assert np.array_equal(canonicalized_elements(raw), pairs.elements)
 
 
 def scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, w) -> bool:

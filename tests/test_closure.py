@@ -64,7 +64,8 @@ def test_raw_anchor_values():
     for m in (3, 5, 8):
         for side in ("right", "left"):
             summary = close_raw(side, GroupParams.from_modulus(m))
-            # one image table per element, and every image is a rotation
+            # one uint8 image table per element, and every image is a rotation
+            assert summary.elements.dtype == np.uint8
             assert summary.elements.shape == (summary.size, 2 * m)
             assert 0 <= summary.elements.min() and summary.elements.max() < m
 
@@ -171,6 +172,21 @@ def test_distinct_rows_are_the_sorted_distinct_tables(width):
         assert got.view(np.uint8).reshape(-1, width).tolist() == want
 
 
+def test_distinct_is_the_sorted_distinct_entries():
+    # the one sort-and-mask helper on integers: negative, repeated, extreme
+    # and empty int64 inputs, compared as 8-byte words
+    rng = np.random.default_rng(24)
+    big = np.iinfo(np.int64)
+    for values in (
+        [],
+        [5],
+        [3, -1, 3, 0, -1, big.max, big.min, big.max],
+        rng.integers(-50, 50, 5000).tolist(),
+    ):
+        got = raw._distinct(np.array(values, dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == sorted(set(values))
+
+
 @st.composite
 def transformation_sets(draw):
     """Distinct transformations of at most 8 points, of one of three kinds:
@@ -241,16 +257,19 @@ def test_close_tables_keeps_entry_permutations_apart():
     assert closed == reference_close_tables(gens) == {(0, 1, 1), (1, 0, 1), (1, 0, 0), (0, 1, 0)}
 
 
-def test_close_raw_matches_reference_closure():
+@pytest.mark.parametrize("chunk_bytes", [raw._CHUNK_BYTES, 1])
+def test_close_raw_matches_reference_closure(monkeypatch, chunk_bytes):
     # the pair oracle is the reference: the raw oracle's distinct generator
     # tables are the distinct commutation maps, and its tables decode, one
-    # key each, to exactly the pair closure's keys
+    # key each, to exactly the pair closure's keys; at 1 byte the G.W merge
+    # takes one table of W and the decoding one row at a time
+    monkeypatch.setattr(raw, "_CHUNK_BYTES", chunk_bytes)
     for m in range(3, 49):
         g = GroupParams.from_modulus(m)
         for side in ("right", "left"):
             got, want = close_raw(side, g), close_pairs(side, g)
             assert got.generator_count == want.generator_count
-            assert np.array_equal(canonicalized_elements(got, g), want.elements)
+            assert np.array_equal(canonicalized_elements(got), want.elements)
 
 
 @pytest.mark.parametrize("m", [101, 123, 128])
@@ -275,7 +294,7 @@ def test_canonicalized_elements_names_corrupted_tables():
     ):
         summary = SemigroupSummary(8, "right", 1, "raw_tables", corrupt[None])
         with pytest.raises(ConsistencyError) as excinfo:
-            canonicalized_elements(summary, g8)
+            canonicalized_elements(summary)
         message = str(excinfo.value)
         assert message.startswith("m=8 side=right stage=canonicalized_elements: ")
         assert reason in message and str(corrupt.tolist()) in message
@@ -313,11 +332,12 @@ def test_close_pairs_matches_scalar_worklist_in_blocks(monkeypatch, chunk_bytes)
 
 
 def test_each_generator_family_has_every_shift():
-    # close_pairs computes one block of shift products for both families of
-    # generators, which holds because each family's shifts are all of Z_sm
+    # close_pairs scales family 1 only, which holds because family 0 has
+    # scale 0 and every shift, so each of its products is a generator in row 0
     for m in range(3, 513):
         sm = mumaps.shift_modulus(m)
         for sign in (1, -1):
+            assert sign * mumaps.beta(0) % m == 0, (m, sign)
             for s in (0, 1):
                 shifts = {sign * mumaps.alpha(s) * r % sm for r in range(m)}
                 assert shifts == set(range(sm)), (m, sign, s)
@@ -1164,5 +1184,5 @@ def test_raw_decode_matches_formula_sizes():
         for side in ("right", "left"):
             raw = close_raw(side, g)
             assert raw.size == order_central_series(side, g)
-            assert len(canonicalized_elements(raw, g)) == raw.size
+            assert len(canonicalized_elements(raw)) == raw.size
 
