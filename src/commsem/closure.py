@@ -26,7 +26,7 @@ import numpy as np
 
 from .dihedral import GroupParams, check_side
 from .errors import ConsistencyError, ResourceLimitError
-from .mumaps import CanonicalMap, alpha, beta, function_table, function_tables, shift_modulus
+from .mumaps import CanonicalMap, alpha, beta, function_table, shift_modulus
 from .raw import PAIRS_ORACLE, SemigroupSummary, _blocks
 
 PAIRS_MODULUS_LIMIT = 4096
@@ -72,7 +72,7 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     """
     check_side(side)
     if g.m > PAIRS_MODULUS_LIMIT:
-        raise ResourceLimitError(f"pair closure limited to m <= {PAIRS_MODULUS_LIMIT}")
+        raise ResourceLimitError(f"pair closure limited to m <= {PAIRS_MODULUS_LIMIT}, got m={g.m}")
     m = g.m
     sm = shift_modulus(m)
     sign = -1 if side == "left" else 1
@@ -100,15 +100,19 @@ def canonicalized_elements(summary: SemigroupSummary) -> np.ndarray:
     """The elements as a sorted, read-only int64 array of CanonicalMap keys,
     decoding raw tables when needed.
 
-    All raw tables are decoded at once from the images of a and b alone,
-    then the full tables of the decoded pairs are recomputed and compared
-    entrywise; any mismatch means the closure produced a non-member of the
-    family and is a hard error.
+    A raw table is decoded from the images of a and b alone: a goes to a^c
+    and b to a^(2y), so the table names the map (c, y).  It is that map's
+    table exactly when every entry is below m, its rotation half is row c of
+    the m x m uint8 table of i * c mod m, and rotation plus reflection is
+    the image of b mod m at every entry, since a^i b goes to
+    a^(2y - c * i).  All three are checked on the uint8 tables, a block of
+    rows at a time; with both entries below m <= RAW_MODULUS_LIMIT = 128, a
+    sum is below 256 and does not wrap.  A table that fails any of them is
+    not in the family, and is a hard error.
     """
     if summary.oracle == PAIRS_ORACLE:
         return summary.elements
     m = summary.m
-    g = GroupParams.from_modulus(m)
     sm = shift_modulus(m)
     stage = f"m={m} side={summary.side} stage=canonicalized_elements"
     tables = summary.elements
@@ -124,15 +128,22 @@ def canonicalized_elements(summary: SemigroupSummary) -> np.ndarray:
                 f" (image of b), table {tables[odd[0]].tolist()}"
             )
         shifts = doubled_shifts // 2 % sm
-    for rows in _blocks(len(tables), 2 * 2 * m):  # rows of int16 expected tables
-        expected = function_tables(scales[rows], shifts[rows], g)
-        outside = np.flatnonzero((tables[rows] != expected).any(axis=1))
-        if len(outside):
-            t = rows.start + outside[0]
+    scale_rows = (np.arange(m)[:, None] * np.arange(m) % m).astype(np.uint8)
+    for rows in _blocks(len(tables), 2 * m):
+        block = tables[rows]
+        rotations, reflections = block[:, :m], block[:, m:]
+        images_of_b = reflections[:, :1]
+        outside = reflections >= m
+        outside |= rotations != scale_rows[block[:, 1] % m]
+        sums = rotations + reflections
+        outside |= (sums != images_of_b) & (sums != images_of_b + np.uint8(m))
+        if outside.any():
+            t = rows.start + int(outside.any(axis=1).argmax())
             decoded = CanonicalMap(int(scales[t]), int(shifts[t]), m)
             raise ConsistencyError(
                 f"{stage}: raw table {tables[t].tolist()} is outside the map family;"
-                f" its decoded map {decoded} has table {list(function_table(decoded.as_map(), g))}"
+                f" its decoded map {decoded} has table"
+                f" {list(function_table(decoded.as_map(), GroupParams.from_modulus(m)))}"
             )
     keys = np.sort(scales * sm + shifts)
     keys.flags.writeable = False

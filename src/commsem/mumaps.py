@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dihedral import DihedralElement, GroupParams
 from .errors import ParameterError
 
@@ -148,25 +146,3 @@ def function_table(f: AffineMap, g: GroupParams) -> tuple[int, ...]:
     rotations = [f.scale * i % m for i in range(m)]
     reflections = [(2 * f.shift - f.scale * i) % m for i in range(m)]
     return tuple(rotations + reflections)
-
-
-def function_tables(scales: np.ndarray, shifts: np.ndarray, g: GroupParams) -> np.ndarray:
-    """function_table of the map (scales[k], shifts[k]) as row k of one
-    int16 array.
-
-    The rotation images of a row are gathered from the table of its scale,
-    built once per distinct scale; the reflection images 2*shift - scale*i
-    are then the doubled shift mod m minus the rotation images, plus m where
-    that is negative.  Every intermediate value lies strictly between -m and
-    m, so int16 holds them while m < 2**15.
-    """
-    m = g.m
-    distinct, which = np.unique(np.asarray(scales, dtype=np.int64) % m, return_inverse=True)
-    scale_tables = (distinct[:, None] * np.arange(m) % m).astype(np.int16)
-    tables = np.empty((len(which), 2 * m), dtype=np.int16)
-    rotations, reflections = tables[:, :m], tables[:, m:]
-    np.take(scale_tables, which, axis=0, out=rotations)
-    doubled_shifts = (2 * np.asarray(shifts, dtype=np.int64) % m).astype(np.int16)
-    np.subtract(doubled_shifts[:, None], rotations, out=reflections)
-    reflections += (reflections < 0) * np.int16(m)
-    return tables

@@ -14,13 +14,16 @@ reads g1 ... gk on U only, and there it is the product of the restrictions
 g1|U ... gk|U.  The closure is the generators G and every "g then w" for g
 in G and w in W, the semigroup the restrictions generate.  W is small (at
 most 111 tables of |U| entries for m <= 128) and is closed by a worklist
-over its tables as bytes; G.W reads each generator through U and is
-composed a bounded block of W at a time (_blocks).  Every table is uint8,
-from the commutator table, gathered once per modulus for both sides, to the
-closed store that close_raw returns.  Dedup is exact: each table is one void
-scalar, so sorting and searching compare whole tables byte for byte, and
-sorted tables are told apart by comparing them as matrices of machine words
-(_changes).
+over its tables as bytes.  The generators' right Cayley graph, one edge
+"g then h" for each g and each distinct restriction h, tells which
+generators need W at all: a generator whose edges all end in G adds
+nothing that the others do not, so only the rest, A, is composed with W,
+a bounded block of A at a time (_blocks).  Every table is uint8, from the
+commutator table, gathered once per modulus for both sides, to the closed
+store that close_raw returns.  Dedup is exact and happens once, over the
+generators and all of A.W: each table is one void scalar, so sorting and
+searching compare whole tables byte for byte, and sorted tables are told
+apart by comparing them as matrices of machine words (_changes).
 
 Each oracle holds its elements in one read-only numpy array
 (SemigroupSummary): sorted CanonicalMap keys for the pair oracle, and the
@@ -112,7 +115,7 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     """
     check_side(side)
     if g.m > RAW_MODULUS_LIMIT:
-        raise ResourceLimitError(f"raw closure limited to m <= {RAW_MODULUS_LIMIT}")
+        raise ResourceLimitError(f"raw closure limited to m <= {RAW_MODULUS_LIMIT}, got m={g.m}")
     tables = _commutator_tables(side, g)
     gens = _distinct_rows(tables).view(np.uint8).reshape(-1, tables.shape[1])
     return SemigroupSummary(g.m, side, len(gens), RAW_ORACLE, _close_tables(gens))
@@ -148,48 +151,66 @@ def _distinct_rows(tables: np.ndarray) -> np.ndarray:
     return _distinct(tables.view(f"V{tables.shape[1]}").ravel())
 
 
+def _then(images: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Entry i * c + j is the table "g_i then f_j" as one void scalar, for
+    the tables g_i, the rows of gens (b x n, intp), and c maps f_j given on
+    the points that the g_i reach, as the columns of images (n x c): g_i
+    then f_j sends x to images[g_i[x], j].  One gather of whole rows of
+    images, then one transposing copy."""
+    n = gens.shape[1]
+    products = np.take(images, gens, axis=0).transpose(0, 2, 1)
+    return np.ascontiguousarray(products).view(f"V{n}").reshape(-1)
+
+
 def _close_tables(gens: np.ndarray) -> np.ndarray:
     """Every product of one or more of the distinct uint8 tables gens, one
     table per row, in byte order.
 
     Every generator maps into U, the union of the generators' images, so the
     products are G u G.W: the generators, and "g then w" for every generator
-    g and every w in W, the semigroup generated by the restrictions gens[:, U].
-    Both read the generators through U, as at[j, x], the position in U of
-    gens[j][x].  W is closed by a worklist over its tables as bytes, each entry
-    a position in U: "w then h" is w.translate(h), since (w then h)[a] =
-    h[w[a]].  G.W is composed a block of W at a time (_blocks) and merged into
-    the sorted store of distinct tables.
+    g and every w in W, the semigroup generated by the r distinct
+    restrictions h = gens[:, U].  W is closed by a worklist over its tables
+    as bytes, each entry a position in U: "w then h" is w.translate(h), since
+    (w then h)[a] = h[w[a]].
+
+    Most of G.W is G again.  The right Cayley graph of the generators joins
+    each g to "g then h" for each h; X is the set of generators whose r
+    edges all end in G, and A the rest.  For g in X, "g then w" lies in G or
+    in A.W: with w = h1 h2 ... hk and k > 1, it is "g' then h2 ... hk" for
+    the generator g' = "g then h1", and induction over k ends at a generator
+    or at a member of A.  So only A is composed with W, a block of A at a
+    time (_blocks), and one exact sort of the generators and those products
+    (_distinct) is the closure.
     """
-    k, n = gens.shape
-    u = np.flatnonzero(np.bincount(gens.ravel(), minlength=n))
+    store = _distinct_rows(gens)
+    gens = store.view(np.uint8).reshape(len(store), -1)
+    n = gens.shape[1]
+    index = gens.astype(np.intp)
+    u = np.flatnonzero(np.bincount(index.ravel(), minlength=n)).astype(np.uint8)
     position = np.zeros(n, dtype=np.uint8)  # position[u[a]] = a
     position[u] = np.arange(len(u))
-    at = position[gens]  # at[j, x] = a where gens[j][x] = u[a]
-    restrictions = {t.tobytes() for t in at[:, u]}
-    translations = [h.ljust(256, b"\0") for h in restrictions]
-    w_known = set(restrictions)
-    stack = list(w_known)
-    while stack:
-        w = stack.pop()
+    # the tables of W, the r restrictions first; the loop also reaches the
+    # tables appended to the list it walks
+    w_tables = [h.tobytes() for h in _distinct_rows(position[index[:, u]])]
+    translations = [h.ljust(256, b"\0") for h in w_tables]
+    w_known = set(w_tables)
+    for w in w_tables:
         for h in translations:
             product = w.translate(h)
             if product not in w_known:
                 w_known.add(product)
-                stack.append(product)
-    # each w of W as the images of the points of U, sorted so that the
-    # blocks below do not depend on the order of a set
-    w_positions = np.frombuffer(b"".join(sorted(w_known)), dtype=np.uint8)
-    w_images = u.astype(np.uint8)[w_positions.reshape(-1, len(u))]
-    store = _distinct_rows(gens)
-    index = at.astype(np.intp)
-    for block in _blocks(len(w_images), k * n):  # tables of W whose uint8 products fit
-        # products[i, j, x] = (gens[j] then w_i)(x) = w_i(u[at[j, x]]) for the
-        # i-th table w_i of the block, whose images of U are its row of w_images
-        products = np.take(w_images[block], index, axis=1)
-        found = _distinct_rows(products.reshape(-1, n))
-        where = np.searchsorted(store, found)
-        new = where == len(store)
-        new[~new] = _changes(store[where[~new]], found[~new])
-        store = np.insert(store, where[new], found[new])
-    return store.view(np.uint8).reshape(-1, n)
+                w_tables.append(product)
+    w_images = np.zeros((n, len(w_tables)), dtype=np.uint8)  # w_images[u[a], i] = u[w_i[a]]
+    w_images[u] = u[np.frombuffer(b"".join(w_tables), dtype=np.uint8).reshape(-1, len(u)).T]
+    # the right Cayley graph: row i * r + j of successors is "gens[i] then h_j"
+    r = len(translations)
+    successors = _then(w_images[:, :r], index)
+    where = np.minimum(np.searchsorted(store, successors), len(store) - 1)
+    in_g = ~_changes(store[where], successors)
+    rest = index[~in_g.reshape(-1, r).all(axis=1)]
+    found = [store]
+    for block in _blocks(len(rest), n * len(w_tables)):  # generators whose products fit
+        found.append(_then(w_images, rest[block]))
+    tables = np.concatenate(found)
+    del found  # the blocks, before the sort copies their tables
+    return _distinct(tables).view(np.uint8).reshape(-1, n)

@@ -26,7 +26,9 @@ from commsem import (
     commutator,
     element_index,
     enumerate_elements,
+    function_table,
     gupta_criterion,
+    mu_map,
     order_central_series,
     search_isomorphism,
     verify_iso_map,
@@ -257,6 +259,38 @@ def test_close_tables_keeps_entry_permutations_apart():
     assert closed == reference_close_tables(gens) == {(0, 1, 1), (1, 0, 1), (1, 0, 0), (0, 1, 0)}
 
 
+def _composed_with_w(monkeypatch, gens):
+    """The closure of gens and the generators that _close_tables composes
+    with W; the first gather is the right Cayley graph, the rest G.W."""
+    gathered = []
+    then = raw._then
+
+    def spy(images, tables):
+        gathered.append(tables.tolist())
+        return then(images, tables)
+
+    monkeypatch.setattr(raw, "_then", spy)
+    closed = {tuple(t) for t in raw._close_tables(gens).tolist()}
+    return closed, [t for block in gathered[1:] for t in block]
+
+
+def test_close_tables_composes_only_generators_leaving_g(monkeypatch):
+    # g1 then h is g2, a generator, and g1 then g1 or g2 is one too; but g2
+    # then h is not, so g2 and h are composed with W and g1 is not, since
+    # every "g1 then w" is "g2 then w'" or a generator
+    h, g1, g2 = [1, 2, 3, 3], [0, 0, 0, 0], [1, 1, 1, 1]
+    gens = np.array([h, g1, g2], dtype=np.uint8)
+    closed, composed = _composed_with_w(monkeypatch, gens)
+    assert closed == reference_close_tables(gens)
+    assert len(closed) == 6
+    assert sorted(composed) == [g2, h]
+    # every product of constant maps is a generator: no G.W block at all
+    gens = np.repeat(np.arange(5, dtype=np.uint8), 5).reshape(5, 5)
+    closed, composed = _composed_with_w(monkeypatch, gens)
+    assert closed == reference_close_tables(gens) == {tuple(t) for t in gens.tolist()}
+    assert composed == []
+
+
 @pytest.mark.parametrize("chunk_bytes", [raw._CHUNK_BYTES, 1])
 def test_close_raw_matches_reference_closure(monkeypatch, chunk_bytes):
     # the pair oracle is the reference: the raw oracle's distinct generator
@@ -300,11 +334,39 @@ def test_canonicalized_elements_names_corrupted_tables():
         assert reason in message and str(corrupt.tolist()) in message
     # the family's table of the decoded map is named beside the raw one
     assert str(table.tolist()) in message
+    # at m = 128 an entry raised by m is still a byte, and congruent to the
+    # right one mod m: a sum of rotation and reflection taken mod m alone
+    # would pass the raised reflection
+    table = close_raw("right", GroupParams.from_modulus(128)).elements[-1]
+    for column in (128 + 3, 1, 3):  # a reflection, the image of a, a rotation
+        corrupt = table.copy()
+        corrupt[column] += 128
+        summary = SemigroupSummary(128, "right", 1, "raw_tables", corrupt[None])
+        with pytest.raises(ConsistencyError) as excinfo:
+            canonicalized_elements(summary)
+        message = str(excinfo.value)
+        assert message.startswith("m=128 side=right stage=canonicalized_elements: ")
+        assert "outside the map family" in message and str(corrupt.tolist()) in message
+        assert str(table.tolist()) in message
+
+
+@pytest.mark.parametrize("m", [3, 7, 8, 12, 15, 128])
+def test_canonicalized_elements_accepts_every_family_table(m):
+    # the raw check against the scalar function_table: every member is
+    # accepted and decodes to its own key (at m = 128, a few shifts only)
+    g = GroupParams.from_modulus(m)
+    shifts = range(m) if m < 128 else (0, 1, 2, 63, 64, 127)
+    maps = [mu_map(a, y, g) for a in range(m) for y in shifts]
+    tables = np.array([function_table(f, g) for f in maps], dtype=np.uint8)
+    summary = SemigroupSummary(m, "right", 1, "raw_tables", tables)
+    keys = canonicalized_elements(summary)
+    assert keys.tolist() == sorted(f.canonical().key for f in maps)
 
 
 def test_raw_bound():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as excinfo:
         close_raw("right", GroupParams.from_modulus(129))
+    assert str(excinfo.value) == "raw closure limited to m <= 128, got m=129"
 
 
 @pytest.mark.parametrize(
@@ -1174,8 +1236,9 @@ def test_search_finds_the_witness_at_404_with_the_cap_lifted(monkeypatch):
 
 
 def test_pairs_bound():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError) as excinfo:
         close_pairs("right", GroupParams.from_modulus(5000))
+    assert str(excinfo.value) == "pair closure limited to m <= 4096, got m=5000"
 
 
 def test_raw_decode_matches_formula_sizes():

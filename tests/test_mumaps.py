@@ -1,7 +1,6 @@
 """Parameter-map calculus: application, identification of commutation maps,
 composition, and the functional-equality quotient."""
 
-import numpy as np
 import pytest
 
 from commsem import (
@@ -14,7 +13,7 @@ from commsem import (
     mu_map,
     rho_map,
 )
-from commsem.mumaps import function_tables, shift_modulus
+from commsem.mumaps import shift_modulus
 from support import (
     check_canonical_quotient,
     check_compose_soundness,
@@ -74,16 +73,6 @@ def test_canonicalize_examples():
     t1 = function_table(mu_map(3, 2, g7), g7)
     t2 = function_table(mu_map(3, 5, g7), g7)
     assert t1 != t2 and t1[7] != t2[7]  # tables differ at the bare reflection
-
-
-def test_function_tables_match_function_table():
-    for m in (3, 7, 8, 12, 15):
-        g = GroupParams.from_modulus(m)
-        pairs = [(a, b) for a in range(m) for b in range(m)]
-        tables = function_tables([a for a, _ in pairs], [b for _, b in pairs], g)
-        assert tables.dtype == np.int16 and tables.shape == (m * m, 2 * m)
-        for (a, b), row in zip(pairs, tables.tolist()):
-            assert tuple(row) == function_table(mu_map(a, b, g), g)
 
 
 def test_canonical_composition_descends():
