@@ -25,14 +25,16 @@ only through its scale pair (sig1[d], sig2[phi[d]]), and the partial map
 keeps the distinct scale pairs of its domain up to date.  So a round gathers
 the frontier against all of those pairs and the older domain only against
 the pairs the frontier adds, |F| p + |D_old| p_new entries, in one semigroup
-and at the images in the other, and finds every conflict before any pair is
-written, without a sort, by scattering the forced images into a copy of the
-map and reading them back.  A round whose frontier adds no scale pair is the
-last: the pairs are then closed under products, and the products it gathered
-are all the closure still lacks.  Both shortcuts need associative tables in
-which the scale of a product depends only on the scales of its factors, as
-every _scale_table is.  The leaf check compares one column pair per distinct
-scale pair (sig1[y], sig2[phi[y]]), which still covers all n^2 pairs (x, y).
+and at the images in the other.  A round gathers a few dozen entries, so it
+runs on Python scalars: the map is a list, the tables are read through flat
+memoryviews, and each product is checked as it is read against the map and
+against a dict of the images forced so far.  A round whose frontier adds no
+scale pair is the last: the pairs are then closed under products, and the
+products it gathered are all the closure still lacks.  Both shortcuts need
+associative tables in which the scale of a product depends only on the
+scales of its factors, as every _scale_table is.  The leaf check compares
+one column pair per distinct scale pair (sig1[y], sig2[phi[y]]), which
+still covers all n^2 pairs (x, y).
 Definite answers are sound (witnesses are verified on all n^2 pairs,
 refusals come from exhaustion) and an exhausted node budget is reported as
 such, never guessed around.
@@ -420,23 +422,31 @@ class _PartialIso:
     of another that preserves colours and is closed under products: its
     domain is a subsemigroup and phi[x * y] = phi[x] * phi[y] on it.  Each
     multiplication is a scale-factored pair (T, sig), x * y = T[x, sig[y]]
-    (_scale_table).  A scale pair (c1, c2) is coded as c1 * s2 + c2, s2 the
-    number of scale columns of the second table.  Both tables must be
-    associative, with the scale of a product depending only on the scales
-    of its factors, as in every _scale_table: extend stops its closing
-    rounds on that ground."""
+    (_scale_table), read one product at a time through a flat memoryview of
+    T, so no table is copied.  A scale pair (c1, c2) is marked at c1 * s2 +
+    c2, s2 the number of scale columns of the second table.  The state is
+    Python lists and a bytearray: a closing round gathers a few dozen
+    products, and per-product scalar reads cost less there than the fixed
+    cost of whole-array calls.  Both tables must be associative, with the
+    scale of a product depending only on the scales of its factors, as in
+    every _scale_table: extend stops its closing rounds on that ground."""
 
     def __init__(self, mult1, mult2, col1: np.ndarray, col2: np.ndarray):
-        self.mult1, self.mult2, self.col1, self.col2 = mult1, mult2, col1, col2
-        self.phi = np.full(len(col1), -1, dtype=np.int32)
-        self.used_by = np.full(len(col2), -1, dtype=np.int32)
-        # domain[:size] holds the assigned elements in assignment order
-        self.domain, self.size = np.empty(len(col1), dtype=np.int32), 0
-        # pairs[:npairs] holds the distinct scale pairs (sig1[d], sig2[phi[d]])
-        # of the domain in first-appearance order, at most one per element, and
-        # paired marks them; pairs_at[k] is npairs when a round began at size k
-        self.pairs, self.npairs = np.empty(len(col1), dtype=np.int64), 0
-        self.paired = np.zeros(mult1[0].shape[1] * mult2[0].shape[1], dtype=bool)
+        (t1, sig1), (t2, sig2) = self.mult1, self.mult2 = mult1, mult2
+        self.width1, self.width2 = t1.shape[1], t2.shape[1]
+        self.t1 = memoryview(np.ascontiguousarray(t1).reshape(-1))
+        self.t2 = memoryview(np.ascontiguousarray(t2).reshape(-1))
+        self.sig1, self.sig2 = sig1.tolist(), sig2.tolist()
+        self.col1, self.col2 = col1.tolist(), col2.tolist()
+        self.phi = [-1] * len(col1)
+        self.used_by = [-1] * len(col2)
+        # the assigned elements in assignment order
+        self.domain: list[int] = []
+        # the distinct scale pairs (sig1[d], sig2[phi[d]]) of the domain in
+        # first-appearance order, at most one per element, and paired marks
+        # them; pairs_at[k] is len(pairs) when a round began at domain size k
+        self.pairs: list[tuple[int, int]] = []
+        self.paired = bytearray(self.width1 * self.width2)
         self.pairs_at = [0] * (len(col1) + 1)
 
     def extend(self, x: int, w: int) -> bool:
@@ -445,8 +455,10 @@ class _PartialIso:
         the whole domain, both ways, in the first semigroup and at their
         images in the second (_forced).  Every proposed pair is forced, so
         the closure is the unique homomorphic extension whatever the order;
-        on any conflict the map is restored and False returned.  Two new
-        pairs with one image show when used_by is read back after the writes.
+        on any conflict the map is restored and False returned.  The forced
+        images are assigned one at a time, each refused if its image is
+        already used, by the domain or by an earlier pair of the same round,
+        or has another colour.
 
         A round whose frontier adds no scale pair is the last: its forced
         images are assigned and checked, but not gathered again.  Write
@@ -461,88 +473,85 @@ class _PartialIso:
         in X, so nothing is left to force, and the forced elements' pairs are
         in Q, so the tracked pairs stay current.  The first round is the last
         when (x, w) brings a scale pair the domain already has."""
-        start = self.size
-        xs, ws = np.array([x]), np.array([w])
+        phi, used_by, domain, col1, col2 = self.phi, self.used_by, self.domain, self.col1, self.col2
+        start = len(domain)
+        forced: dict[int, int] | None = {x: w}
         closed = False
-        while len(xs):
-            # a new image must be unused and of the same colour
-            if (self.used_by[ws] >= 0).any() or (self.col1[xs] != self.col2[ws]).any():
-                self.undo(start)
-                return False
-            lo, self.size = self.size, self.size + len(xs)
-            self.phi[xs] = ws
-            self.used_by[ws] = xs
-            self.domain[lo : self.size] = xs
-            if (self.used_by[ws] != xs).any():
-                self.undo(start)
-                return False
+        while forced:
+            lo = len(domain)
+            for x, w in forced.items():
+                # a new image must be unused and of the same colour
+                if used_by[w] >= 0 or col1[x] != col2[w]:
+                    self.undo(start)
+                    return False
+                phi[x] = w
+                used_by[w] = x
+                domain.append(x)
             if closed:
                 break
             forced = self._forced(lo)
             if forced is None:
                 self.undo(start)
                 return False
-            xs, ws = forced
             # no new scale pair: these forced images close the domain
-            closed = self.npairs == self.pairs_at[lo]
+            closed = len(self.pairs) == self.pairs_at[lo]
         return True
 
-    def _forced(self, lo: int) -> tuple[np.ndarray, np.ndarray] | None:
-        """The unassigned elements xs, increasing, and the images ws that
-        products of the frontier domain[lo:size] with the domain force on
-        them, or None when a product contradicts phi or gets two images.  A
+    def _forced(self, lo: int) -> dict[int, int] | None:
+        """The images that products of the frontier domain[lo:] with the
+        domain force on unassigned elements, as a dict from element to image,
+        or None when a product contradicts phi or gets two images.  A
         product x * d forces (T1[x, sig1[d]], T2[phi[x], sig2[phi[d]]]),
         which depends on d only through its scale pair.  So the frontier is
         gathered against every scale pair of the domain, and the older
         domain[:lo] only against the pairs the frontier adds: for an older y
         and a frontier f whose pair some older d has, y * f forces what y * d
-        forced in an earlier round.  Scattered into a copy of phi, an x forced
-        to two images reads back the other, and an assigned x forced to
-        another image changes its entry.  The frontier's new pairs are added
-        to pairs and paired, and pairs_at[lo] keeps the count before them,
-        so npairs == pairs_at[lo] tells extend that the round added none."""
-        (t1, sig1), (t2, sig2) = self.mult1, self.mult2
-        width = t2.shape[1]
-        frontier, older = self.domain[lo : self.size], self.domain[:lo]
-        self.pairs_at[lo] = had = self.npairs
-        codes = sig1[frontier] * width + sig2[self.phi[frontier]]
-        new = codes[~self.paired[codes]]
-        if len(new):
-            fresh = np.zeros_like(self.paired)
-            fresh[new] = True
-            new = np.flatnonzero(fresh)
-            self.paired[new] = True
-            self.npairs = had + len(new)
-            self.pairs[had : self.npairs] = new
-        xs, ws = [], []
-        for left, pairs in ((frontier, self.pairs[: self.npairs]), (older, new)):
-            if len(pairs):
-                c1, c2 = np.divmod(pairs, width)
-                xs.append(t1[left[:, None], c1].ravel())
-                ws.append(t2[self.phi[left][:, None], c2].ravel())
-        xs, ws = np.concatenate(xs), np.concatenate(ws)
-        trial = self.phi.copy()
-        trial[xs] = ws
-        if (trial[xs] != ws).any():
-            return None
-        xs = np.flatnonzero(trial != self.phi)
-        if (self.phi[xs] >= 0).any():
-            return None
-        return xs, trial[xs]
+        forced in an earlier round.  A product whose element is assigned must
+        land on its image, and one that is not must agree with any image an
+        earlier product forced on it.  The frontier's new pairs are added to
+        pairs and paired, and pairs_at[lo] keeps the count before them, so
+        len(pairs) == pairs_at[lo] tells extend that the round added none."""
+        t1, t2, width1, width2 = self.t1, self.t2, self.width1, self.width2
+        sig1, sig2, phi, pairs, paired = self.sig1, self.sig2, self.phi, self.pairs, self.paired
+        frontier = self.domain[lo:]
+        self.pairs_at[lo] = had = len(pairs)
+        for f in frontier:
+            c1, c2 = sig1[f], sig2[phi[f]]
+            code = c1 * width2 + c2
+            if not paired[code]:
+                paired[code] = 1
+                pairs.append((c1, c2))
+        new = pairs[had:]
+        older = self.domain[:lo] if new else []
+        forced: dict[int, int] = {}
+        for left, against in ((frontier, pairs), (older, new)):
+            for a in left:
+                row1, row2 = a * width1, phi[a] * width2
+                for c1, c2 in against:
+                    x, w = t1[row1 + c1], t2[row2 + c2]
+                    y = phi[x]
+                    if y >= 0:
+                        if y != w:
+                            return None
+                    elif forced.setdefault(x, w) != w:
+                        return None
+        return forced
 
     def undo(self, start: int) -> None:
         """Unassign everything assigned after the first start elements;
         start is a size the domain had between two calls of extend."""
-        xs = self.domain[start : self.size]
-        if len(xs):
+        phi, used_by, domain = self.phi, self.used_by, self.domain
+        if len(domain) > start:
             # an extend's first round began at start, so its record of the
             # pairs is current
             had = self.pairs_at[start]
-            self.paired[self.pairs[had : self.npairs]] = False
-            self.npairs = had
-        self.used_by[self.phi[xs]] = -1
-        self.phi[xs] = -1
-        self.size = start
+            for c1, c2 in self.pairs[had:]:
+                self.paired[c1 * self.width2 + c2] = 0
+            del self.pairs[had:]
+            for x in domain[start:]:
+                used_by[phi[x]] = -1
+                phi[x] = -1
+            del domain[start:]
 
 
 def search_isomorphism(
@@ -556,27 +565,33 @@ def search_isomorphism(
     table is built at all.  The generators are the irreducible elements, then
     greedily the least element not yet generated, each absorbed in one
     gather (_greedy_generators).  Every choice is closed under products in
-    frontier rounds (_PartialIso.extend) and any conflict is refused in whole
-    arrays.  A product of a frontier element with a domain element depends on
-    the latter only through its scale pair (its scale column and that of its
-    image), so a round gathers the frontier against the p distinct scale
-    pairs of the domain and the older domain against the p_new pairs the
-    frontier adds, if any: |F| p + |D_old| p_new forced pairs, not 2 |F| |D|;
-    p = s at every witness measured.  The round finds conflicts and new pairs
-    without a sort.  A round that adds no scale pair is the last, since the
+    frontier rounds (_PartialIso.extend), on Python scalars, and any conflict
+    is refused as soon as a product shows it.  A product of a frontier
+    element with a domain element depends on the latter only through its
+    scale pair (its scale column and that of its image), so a round gathers
+    the frontier against the p distinct scale pairs of the domain and the
+    older domain against the p_new pairs the frontier adds, if any: |F| p +
+    |D_old| p_new forced pairs, not 2 |F| |D|; p = s at every witness
+    measured.  A round that adds no scale pair is the last, since the
     domain's pairs are then closed under products; an image whose scale pair
     the domain already has is closed in one round.
     That closure is the unique homomorphic extension of the chosen images, so
     neither it nor the node count depends on the order in which products are
-    examined.  The backtracking runs over an explicit stack with one entry per
-    open choice (position in the generator order, the images still free when
-    the choice opened, domain size before the choice), and generators whose
-    image is already forced take no entry, so its depth is bounded by the
-    generating set, not by Python's recursion limit.  A returned witness has
-    been verified on all n^2 element pairs, by one comparison of product
-    columns per distinct scale pair (_preserves_products); a not_isomorphic
-    verdict means the colour-pruned search space was exhausted, which is
-    complete because colours are isomorphism-invariant.
+    examined.  The candidate images of a generator are its colour class in
+    s2, in index order, with the image of the same key first when both
+    moduli agree; the classes come from one stable sort of s2's colours,
+    once per search.  The backtracking runs over an explicit stack with one
+    entry per open choice (position in the generator order, a lazy stream of
+    its candidates that are free when read, domain size before the choice),
+    and generators whose image is already forced take no entry, so its depth
+    is bounded by the generating set, not by Python's recursion limit.  Each
+    retry reads the stream after undoing to the choice's domain size, which
+    frees exactly the images that were free when the choice opened.  A
+    returned witness has been verified on all n^2 element pairs, by one
+    comparison of product columns per distinct scale pair
+    (_preserves_products); a not_isomorphic verdict means the colour-pruned
+    search space was exhausted, which is complete because colours are
+    isomorphism-invariant.
     """
     if s1.size != s2.size:
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
@@ -601,21 +616,36 @@ def search_isomorphism(
         return IsoSearchResult(IsoStatus.NOT_ISOMORPHIC, 0)
     col1, col2, column_span = colors
     gens = _greedy_generators(mult1)
-    candidates: dict[int, np.ndarray] = {}
-    for gi in gens:
-        # refinement returned, so every colour of s1 also occurs in s2
-        cands = np.flatnonzero(col2 == col1[gi])
-        if s1.m == s2.m:
-            # the same key first, then the rest in index order
-            cands = cands[np.argsort(e2[cands] != e1[gi], kind="stable")]
-        candidates[gi] = cands
+    # classes[c] holds the elements of colour c in s2, in index order;
+    # refinement returned, so every colour of s1 also occurs in s2
+    members = np.argsort(col2, kind="stable").tolist()
+    bounds = [0, *np.cumsum(np.bincount(col2)).tolist()]
+    classes = [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    at = np.array(gens, dtype=np.intp)
+    same = np.full(len(gens), -1)
+    if s1.m == s2.m:
+        # the image with the same key comes first, when it has the colour
+        where = np.minimum(np.searchsorted(e2, e1[at]), n - 1)
+        same = np.where((e2[where] == e1[at]) & (col2[where] == col1[at]), where, -1)
+    first = dict(zip(gens, same.tolist()))
+    partial = _PartialIso(mult1, mult2, col1, col2)
+    phi, used_by, domain, colour = partial.phi, partial.used_by, partial.domain, partial.col1
     # assign the most constraining generators first: a large left-ideal means
     # many forced images per assignment, so conflicts surface early
     column_span = column_span.tolist()
-    order = sorted(gens, key=lambda gi: (-column_span[gi], len(candidates[gi]), gi))
+    order = sorted(gens, key=lambda gi: (-column_span[gi], len(classes[colour[gi]]), gi))
 
-    partial = _PartialIso(mult1, mult2, col1, col2)
-    phi, used_by = partial.phi, partial.used_by
+    def free_images(gi: int) -> Iterator[int]:
+        # the candidate images of gi, in order, that are unused when read;
+        # every undo(mark) restores used_by to its state when the choice
+        # opened, so each retry reads the images free then
+        w0 = first[gi]
+        if w0 >= 0 and used_by[w0] < 0:
+            yield w0
+        for w in classes[colour[gi]]:
+            if used_by[w] < 0 and w != w0:
+                yield w
+
     nodes = 0
     stack: list[tuple[int, Iterator[int], int]] = []
     k = 0
@@ -624,12 +654,11 @@ def search_isomorphism(
         while k < len(order) and phi[order[k]] >= 0:
             k += 1
         if k < len(order):
-            # every undo(mark) restores used_by to its state now, so the
-            # images free now are exactly the ones each retry may take
-            cands = candidates[order[k]]
-            stack.append((k, iter(cands[used_by[cands] < 0].tolist()), partial.size))
-        elif partial.size == n and _preserves_products(phi, mult1, mult2):
-            return IsoSearchResult(IsoStatus.ISOMORPHIC, nodes, witness(phi.tolist()))
+            stack.append((k, free_images(order[k]), len(domain)))
+        elif len(domain) == n and _preserves_products(
+            np.array(phi, dtype=np.int32), mult1, mult2
+        ):
+            return IsoSearchResult(IsoStatus.ISOMORPHIC, nodes, witness(phi))
         # advance the deepest open choice to its next unused image
         while stack:
             k, untried, mark = stack[-1]

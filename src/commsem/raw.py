@@ -116,9 +116,8 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     check_side(side)
     if g.m > RAW_MODULUS_LIMIT:
         raise ResourceLimitError(f"raw closure limited to m <= {RAW_MODULUS_LIMIT}, got m={g.m}")
-    tables = _commutator_tables(side, g)
-    gens = _distinct_rows(tables).view(np.uint8).reshape(-1, tables.shape[1])
-    return SemigroupSummary(g.m, side, len(gens), RAW_ORACLE, _close_tables(gens))
+    store = _distinct_rows(_commutator_tables(side, g))
+    return SemigroupSummary(g.m, side, len(store), RAW_ORACLE, _close_tables(store))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -163,8 +162,9 @@ def _then(images: np.ndarray, gens: np.ndarray) -> np.ndarray:
 
 
 def _close_tables(gens: np.ndarray) -> np.ndarray:
-    """Every product of one or more of the distinct uint8 tables gens, one
-    table per row, in byte order.
+    """Every product of one or more of the uint8 tables gens, one table per
+    row, in byte order.  gens may also be the sorted distinct tables as void
+    scalars, as _distinct_rows returns them, which are then not sorted again.
 
     Every generator maps into U, the union of the generators' images, so the
     products are G u G.W: the generators, and "g then w" for every generator
@@ -182,7 +182,7 @@ def _close_tables(gens: np.ndarray) -> np.ndarray:
     time (_blocks), and one exact sort of the generators and those products
     (_distinct) is the closure.
     """
-    store = _distinct_rows(gens)
+    store = gens if gens.dtype.kind == "V" else _distinct_rows(gens)
     gens = store.view(np.uint8).reshape(len(store), -1)
     n = gens.shape[1]
     index = gens.astype(np.intp)

@@ -369,7 +369,7 @@ def test_iso_command(capsys):
     # and m = 244, whose 3904 elements fall into 64 row types, the most of any
     # P vs L or 2p vs p pair within the cap), separation by the initial
     # signatures (m = 55, 1155 elements), cross-modulus
-    for m, nodes in ((100, 145), (244, 788)):
+    for m, nodes in ((68, 85), (100, 145), (244, 788)):
         code, out, _ = run_cli(capsys, "iso", "--m", str(m))
         assert code == 0
         assert out == (
@@ -383,6 +383,15 @@ def test_iso_command(capsys):
     assert out == (
         "P(D_2048) vs L(D_2048): isomorphic_with_witness (criterion says isomorphic, 1536 nodes)\n"
     )
+    # the longest searches within the cap: each node count fixes the order in
+    # which the backtracking tries its images and when a closure is refused
+    for m, nodes in ((848, 2472), (1360, 5548), (2080, 6136)):
+        code, out, err = run_cli(capsys, "iso", "--m", str(m))
+        assert (code, err) == (0, "")
+        assert out == (
+            f"P(D_{m}) vs L(D_{m}): isomorphic_with_witness"
+            f" (criterion says isomorphic, {nodes} nodes)\n"
+        )
     # the iso_refute anchors (m = 95, 3515 elements), all decided by the
     # row spans alone
     for m in (55, 95, 77, 87):
@@ -391,6 +400,13 @@ def test_iso_command(capsys):
         assert out == (
             f"P(D_{m}) vs L(D_{m}): not_isomorphic (criterion says not isomorphic, 0 nodes)\n"
         )
+    # the iso_witness invocations of 2p vs p, the same node count on each side
+    for p, nodes in ((13, 15), (17, 20), (29, 31), (41, 44)):
+        code, out, _ = run_cli(capsys, "iso", "--m", str(2 * p), "--m2", str(p))
+        assert code == 0
+        assert out.splitlines() == [
+            f"{s}(D_{2 * p}) vs {s}(D_{p}): isomorphic_with_witness ({nodes} nodes)" for s in "PL"
+        ]
     code, out, _ = run_cli(capsys, "iso", "--m", "50", "--m2", "25")
     assert code == 0
     assert out.splitlines() == [

@@ -977,7 +977,7 @@ def test_frontier_rounds_keep_every_block():
     assert isomorphism._greedy_generators(_whole(t)) == [0, 1]
     partial = isomorphism._PartialIso(_whole(t), _whole(t), np.zeros(6), np.zeros(6))
     assert partial.extend(1, 1) and partial.extend(0, 0)
-    assert partial.phi.tolist() == list(range(6))
+    assert partial.phi == list(range(6))
 
 
 # (m1, m2, closing rounds on each side) of a search for 2p vs p
@@ -1052,13 +1052,13 @@ def test_frontier_propagation_matches_scalar_reference(
             w = witness[x] if follow else guess
             ok = scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, w)
             assert partial.extend(x, w) == ok
-            assert partial.phi.tolist() == phi and partial.used_by.tolist() == used_by
-            assert sorted(partial.domain[: partial.size].tolist()) == sorted(domain)
+            assert partial.phi == phi and partial.used_by == used_by
+            assert sorted(partial.domain) == sorted(domain)
             outcomes.add(ok)
             if not ok:
                 break
         if follow:
-            assert partial.phi.tolist() == witness
+            assert partial.phi == witness
     assert outcomes == {True, False}
     assert (witness is None) == (m1 == 12)
 
@@ -1066,11 +1066,13 @@ def test_frontier_propagation_matches_scalar_reference(
 def _assert_pairs_tracked(partial):
     """The scale pairs a _PartialIso keeps are those of its domain, each
     once, and its membership array marks exactly them."""
-    domain = partial.domain[: partial.size]
-    c1, c2 = isomorphism._scale_pairs(partial.mult1, partial.mult2, domain, partial.phi[domain])
+    domain = np.array(partial.domain, dtype=np.intp)
+    phi = np.array(partial.phi, dtype=np.intp)
+    c1, c2 = isomorphism._scale_pairs(partial.mult1, partial.mult2, domain, phi[domain])
     width = partial.mult2[0].shape[1]
-    assert np.sort(partial.pairs[: partial.npairs]).tolist() == (c1 * width + c2).tolist()
-    assert np.flatnonzero(partial.paired).tolist() == (c1 * width + c2).tolist()
+    codes = (c1 * width + c2).tolist()
+    assert sorted(a * width + b for a, b in partial.pairs) == codes
+    assert [code for code, marked in enumerate(partial.paired) if marked] == codes
 
 
 @pytest.mark.parametrize("m1,side1,m2,side2", PROPAGATION_CASES)
@@ -1095,15 +1097,15 @@ def test_tracked_scale_pairs_match_recomputation(m1, side1, m2, side2):
                 del marks[rng.randrange(1, len(marks)) :]
                 partial.undo(marks[-1])
             else:
-                unmapped = np.flatnonzero(partial.phi < 0).tolist()
+                unmapped = [x for x, image in enumerate(partial.phi) if image < 0]
                 if not unmapped:
                     break
                 x = rng.choice([x for x in gens if partial.phi[x] < 0] or unmapped)
-                free_w = np.flatnonzero(partial.used_by < 0)
+                free_w = np.flatnonzero(np.array(partial.used_by) < 0)
                 alike = free_w[col2[free_w] == col1[x]].tolist()
                 w = rng.choice(alike if alike and rng.random() < 0.9 else free_w.tolist())
                 if partial.extend(x, w):
-                    marks.append(partial.size)
+                    marks.append(len(partial.domain))
             _assert_pairs_tracked(partial)
 
 
@@ -1132,6 +1134,22 @@ def test_tracked_scale_pairs_survive_deep_backtracking(monkeypatch):
     assert True in calls and False in calls
 
 
+def test_retries_offer_the_images_free_when_the_choice_opened(monkeypatch):
+    # one colour prunes nothing, and this generator order (column span 3x mod
+    # 5) makes the search return to choices whose last closure took other
+    # images of their class; each retry must still offer those, as undo(mark)
+    # freed them, or the witness is missed
+    def one_colour_reordered(mult1, mult2):
+        *zeros, _ = _one_colour(mult1, mult2)
+        return *zeros, np.arange(len(mult1[1])) * 3 % 5
+
+    monkeypatch.setattr(isomorphism, "_refine_colors", one_colour_reordered)
+    s1 = close_pairs("right", GroupParams.from_modulus(14))
+    s2 = close_pairs("right", GroupParams.from_modulus(7))
+    res = search_isomorphism(s1, s2, budget=1000)
+    assert (res.status, res.nodes) == (IsoStatus.ISOMORPHIC, 271)
+
+
 # x = 0 and y = 1 are idempotents; after y -> y, mapping x -> x forces the
 # images of x*y and y*x in one round.  First: x*y and y*x are distinct
 # absorbing elements, both forced onto the one absorbing image.  Second: x*y
@@ -1158,7 +1176,7 @@ def test_frontier_propagation_refuses_conflicts_within_one_round(rows1, rows2):
     for x, expected in ((1, True), (0, False)):
         assert scalar_extend(rows1, rows2, cols1, cols2, phi, used_by, domain, x, x) is expected
         assert partial.extend(x, x) is expected
-        assert partial.phi.tolist() == phi and partial.used_by.tolist() == used_by
+        assert partial.phi == phi and partial.used_by == used_by
 
 
 def test_products_are_read_per_scale_pair_not_per_scale():
@@ -1176,7 +1194,7 @@ def test_products_are_read_per_scale_pair_not_per_scale():
     for x, expected in ((0, True), (1, True), (2, False)):
         assert scalar_extend(rows1, rows2, cols, cols, phi, used_by, domain, x, x) is expected
         assert partial.extend(x, x) is expected
-        assert partial.phi.tolist() == phi and partial.used_by.tolist() == used_by
+        assert partial.phi == phi and partial.used_by == used_by
     identity = np.arange(3, dtype=np.int32)
     assert not reference_preserves_products(identity, mult1, mult2)
     assert not isomorphism._preserves_products(identity, mult1, mult2)
