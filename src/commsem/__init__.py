@@ -16,7 +16,6 @@ from .closure import canonicalized_elements, close_pairs
 from .containers import (
     Container,
     Decomposition,
-    container_cardinality,
     container_members,
     container_product,
     containers_disjoint,
@@ -92,7 +91,6 @@ __all__ = [
     "close_raw",
     "commutator",
     "conjugate",
-    "container_cardinality",
     "container_members",
     "container_product",
     "containers_disjoint",

@@ -29,7 +29,7 @@ from .mumaps import CanonicalMap
 from .orders import (
     doubling_preserves_orders,
     gupta_criterion,
-    lambda_orders_equal,
+    order_central_series,
     order_report,
 )
 from .raw import RAW_MODULUS_LIMIT, close_raw
@@ -69,42 +69,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _row_verify_level(m: int, requested: str | None) -> str:
-    if requested is not None:
-        return requested
-    return "pairs" if m <= DEFAULT_PAIRS_VERIFY_LIMIT else "none"
-
-
 def build_row(m: int, verify_level: str) -> TableRow:
     g = GroupParams.from_modulus(m)
     rep = order_report(g)
-    formula = {"right": rep.p_order, "left": rep.lambda_order}
     verified = "formula_only"
     if verify_level in ("pairs", "raw"):
-        # a side's pair keys stay alive only when the raw oracle compares them,
-        # so under --verify pairs one side's elements are held at a time
-        pairs = {}
+        # one side at a time, its elements dropped before the next side's
+        # closure: kept alive, they make that closure allocate fresh pages
         for side in SIDES:
-            summary = close_pairs(side, g)
-            if summary.size != formula[side]:
+            order = rep.order(side)
+            pair_keys = close_pairs(side, g).elements
+            if len(pair_keys) != order:
                 raise VerificationFailure(
-                    f"m={m} side={side}: formula value {formula[side]} != "
-                    f"pair-oracle value {summary.size}"
+                    f"m={m} side={side}: formula value {order} != "
+                    f"pair-oracle value {len(pair_keys)}"
                 )
             if verify_level == "raw":
-                pairs[side] = summary.elements
-            del summary
-        verified = "pairs_verified"
-        if verify_level == "raw":
-            for side in SIDES:
                 raw = close_raw(side, g)
-                if raw.size != formula[side]:
+                if raw.size != order:
                     raise VerificationFailure(
-                        f"m={m} side={side}: formula value {formula[side]} != "
+                        f"m={m} side={side}: formula value {order} != "
                         f"raw-oracle value {raw.size}"
                     )
                 raw_keys = canonicalized_elements(raw)
-                pair_keys = pairs[side]
                 if not np.array_equal(raw_keys, pair_keys):
                     # sorted, duplicate-free and both of the formula's size: where
                     # they first differ, the smaller key is in one set only
@@ -116,7 +103,9 @@ def build_row(m: int, verify_level: str) -> TableRow:
                         f"keys); key {key} ({CanonicalMap.from_key(key, m)}) is only in the "
                         f"{only} oracle"
                     )
-            verified = "raw_verified"
+                del raw, raw_keys
+            del pair_keys
+        verified = f"{verify_level}_verified"
     return TableRow(
         m=m,
         p_order=rep.p_order,
@@ -202,7 +191,7 @@ def _cmd_table(args) -> int:
     if limit is not None and args.end_m > limit:
         raise UsageError(f"--verify {args.verify} is limited to m <= {limit}")
     rows = [
-        build_row(m, _row_verify_level(m, args.verify))
+        build_row(m, args.verify or ("pairs" if m <= DEFAULT_PAIRS_VERIFY_LIMIT else "none"))
         for m in range(args.start_m, args.end_m + 1)
     ]
     verify = "" if args.verify is None else f" --verify {args.verify}"
@@ -380,11 +369,14 @@ def _cmd_verify_claims(_args) -> int:
     doubling = all(doubling_preserves_orders(p) for p in range(3, 500) if is_odd_prime(p))
     ok &= _claim("orders agree between p and 2p for every odd prime p < 500", doubling)
 
+    # each prime's left order once: they are pairwise distinct exactly when
+    # there are as many orders as primes
     primes = [p for p in range(3, 200) if is_odd_prime(p)]
-    separated = all(
-        not lambda_orders_equal(p, q) for i, p in enumerate(primes) for q in primes[i + 1 :]
+    left_orders = {order_central_series("left", GroupParams.from_modulus(p)) for p in primes}
+    ok &= _claim(
+        "left orders pairwise distinct over odd primes below 200",
+        len(left_orders) == len(primes),
     )
-    ok &= _claim("left orders pairwise distinct over odd primes below 200", separated)
 
     if not ok:
         print("verification failed", file=sys.stderr)

@@ -94,13 +94,6 @@ def cardinality_detail(
     return len(container_members(c)), "direct-count"
 
 
-def container_cardinality(
-    c: Container, g: GroupParams, series_index: int | None = None
-) -> int:
-    """Number of distinct functions in the container."""
-    return cardinality_detail(c, g, series_index)[0]
-
-
 @dataclass(frozen=True, slots=True)
 class Decomposition:
     """Pairwise-disjoint container cover of one commutation semigroup.
@@ -115,12 +108,9 @@ class Decomposition:
 
     def part_sizes(self, g: GroupParams) -> tuple[int, ...]:
         return tuple(
-            container_cardinality(part, g, series_index=max(i, 1))
+            cardinality_detail(part, g, series_index=max(i, 1))[0]
             for i, part in enumerate(self.parts)
         )
-
-    def total_size(self, g: GroupParams) -> int:
-        return sum(self.part_sizes(g))
 
     def member_union(self) -> frozenset[CanonicalMap]:
         out: set[CanonicalMap] = set()

@@ -7,8 +7,9 @@ Three independent routes are implemented and must always agree:
 * per-case numeric formulas: m*(ord(x)+1) for odd m,
   n*(2**ell + 2**(ell-1) - 2 + period(x)) for even m with odd part n > 1,
   and 2**ell + 2**(ell-1) - 2 for powers of two;
-* a reformulation through literal first-repeat exponent searches, kept
-  deliberately separate from the orbit-profile machinery.
+* a reformulation through one literal first-repeat exponent scan, whose
+  period gives both the odd and the even case, kept deliberately separate
+  from the orbit-profile machinery.
 
 All divisions are exact in integers; a failure to divide exactly means a bug
 and raises ConsistencyError.
@@ -71,20 +72,19 @@ def order_casewise(side: str, g: GroupParams) -> int:
 
 
 def order_repeat_exponent(side: str, g: GroupParams) -> int:
-    """Semigroup order via literal first-repeat exponent searches."""
-    base = base_scale(side)
-    m = g.m
+    """Semigroup order via one literal first-repeat exponent search.
+
+    The period of the base scale mod m is first_repeat_exponent(base, m,
+    ell) - ell.  For odd m, ell = 0 and the base is a unit, so the period is
+    its order; for powers of two the order does not depend on it.
+    """
+    period = first_repeat_exponent(base_scale(side), g.m, g.ell) - g.ell
     if g.ell == 0:
-        i, value = 1, base % m
-        while value != 1:
-            value = value * base % m
-            i += 1
-        return m * (i + 1)
+        return g.m * (period + 1)
     core = (1 << g.ell) + (1 << (g.ell - 1)) - 2
     if g.n == 1:
         return core
-    m_side = first_repeat_exponent(base, m, g.ell)
-    return g.n * (core + m_side - g.ell)
+    return g.n * (core + period)
 
 
 def formula_branch(g: GroupParams) -> str:

@@ -161,10 +161,10 @@ def _then(images: np.ndarray, gens: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(products).view(f"V{n}").reshape(-1)
 
 
-def _close_tables(gens: np.ndarray) -> np.ndarray:
-    """Every product of one or more of the uint8 tables gens, one table per
-    row, in byte order.  gens may also be the sorted distinct tables as void
-    scalars, as _distinct_rows returns them, which are then not sorted again.
+def _close_tables(store: np.ndarray) -> np.ndarray:
+    """Every product of one or more of the generator tables, one uint8 table
+    per row, in byte order.  store holds the generators as _distinct_rows
+    returns them: distinct, in byte order, each one void scalar.
 
     Every generator maps into U, the union of the generators' images, so the
     products are G u G.W: the generators, and "g then w" for every generator
@@ -182,7 +182,6 @@ def _close_tables(gens: np.ndarray) -> np.ndarray:
     time (_blocks), and one exact sort of the generators and those products
     (_distinct) is the closure.
     """
-    store = gens if gens.dtype.kind == "V" else _distinct_rows(gens)
     gens = store.view(np.uint8).reshape(len(store), -1)
     n = gens.shape[1]
     index = gens.astype(np.intp)

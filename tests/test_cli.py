@@ -7,10 +7,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from commsem import cli, isomorphism
 from commsem.closure import PAIRS_MODULUS_LIMIT
@@ -211,6 +213,40 @@ def test_pair_row_memory():
         tracemalloc.stop()
     assert row.verified == "pairs_verified"
     assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize(
+    "verify_level, expected",
+    [
+        (
+            "raw",
+            [
+                ("close_pairs", "right", 0),
+                ("close_raw", "right", 1),
+                ("close_pairs", "left", 0),
+                ("close_raw", "left", 1),
+            ],
+        ),
+        ("pairs", [("close_pairs", "right", 0), ("close_pairs", "left", 0)]),
+    ],
+    ids=["raw", "pairs"],
+)
+def test_row_verifies_one_side_at_a_time(monkeypatch, verify_level, expected):
+    # each side is closed and checked by every requested oracle before the
+    # next side, and its elements are dropped before the next side's
+    # closure: each call is recorded as (oracle, side, live), where live
+    # counts the element arrays of earlier calls still alive when it starts
+    calls, returned = [], []
+    for name in ("close_pairs", "close_raw"):
+        def spy(side, g, real=getattr(cli, name), name=name):
+            calls.append((name, side, sum(ref() is not None for ref in returned)))
+            summary = real(side, g)
+            returned.append(weakref.ref(summary.elements))
+            return summary
+
+        monkeypatch.setattr(cli, name, spy)
+    assert cli.build_row(8, verify_level).verified == f"{verify_level}_verified"
+    assert calls == expected
 
 
 def test_verification_failure_exit_code(capsys, monkeypatch):

@@ -7,7 +7,6 @@ from commsem import (
     Container,
     GroupParams,
     ParameterError,
-    container_cardinality,
     container_members,
     container_product,
     containers_disjoint,
@@ -57,7 +56,7 @@ def test_disjoint_examples():
 def test_cardinality_paths_agree():
     g8 = GroupParams.from_modulus(8)
     c = Container.from_pair(6, 1, g8)
-    assert container_cardinality(c, g8, series_index=1) == 4
+    assert cardinality_detail(c, g8, series_index=1)[0] == 4
     value, path = cardinality_detail(c, g8, series_index=1)
     assert (value, path) == (4, "central-series")
     # power-of-two modulus with position at or past ell: fast path hypothesis
@@ -67,8 +66,8 @@ def test_cardinality_paths_agree():
     assert value == len(container_members(Container.from_pair(0, 2, g8)))
     g15 = GroupParams.from_modulus(15)
     c15 = Container.from_pair(-2, 1, g15)
-    assert container_cardinality(c15, g15, series_index=1) == 15
-    assert container_cardinality(c15, g15) == 15
+    assert cardinality_detail(c15, g15, series_index=1)[0] == 15
+    assert cardinality_detail(c15, g15)[0] == 15
 
 
 def test_decompose_examples():
@@ -76,7 +75,7 @@ def test_decompose_examples():
     right = decompose("right", g8)
     assert [(p.scale, p.stride) for p in right.parts] == [(0, 1), (6, 1), (4, 2)]
     assert right.part_sizes(g8) == (4, 4, 2)
-    assert right.total_size(g8) == 10
+    assert sum(right.part_sizes(g8)) == 10
     left = decompose("left", g8)
     assert [(p.scale, p.stride) for p in left.parts] == [(0, 1), (2, 1), (4, 2)]
     assert left.t == 2 and right.t == 2
