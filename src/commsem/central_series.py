@@ -20,12 +20,9 @@ from .dihedral import (
     inverse,
     multiply,
 )
-from .errors import ParameterError, ResourceLimitError
-
-BRUTE_FORCE_MAX_M = 64
-BRUTE_FORCE_MAX_U = 8
-EQUIV_MAX_M = 24
-EQUIV_MAX_U = 4
+from .errors import (
+    BRUTE_FORCE_MAX_M, BRUTE_FORCE_MAX_U, EQUIV_MAX_M, EQUIV_MAX_U, ParameterError, check_limit
+)
 
 
 def center_order(u: int, g: GroupParams) -> int:
@@ -77,10 +74,8 @@ def nth_center_bruteforce(u: int, g: GroupParams) -> frozenset[DihedralElement]:
     Z_{k+1} = {x : [x, y] in Z_k for all y} from Z_0 = {1}."""
     if u < 0:
         raise ParameterError(f"central series position must be nonnegative, got {u}")
-    if g.m > BRUTE_FORCE_MAX_M or u > BRUTE_FORCE_MAX_U:
-        raise ResourceLimitError(
-            f"brute-force centre limited to m <= {BRUTE_FORCE_MAX_M}, u <= {BRUTE_FORCE_MAX_U}"
-        )
+    check_limit("brute-force centre", "m", g.m, BRUTE_FORCE_MAX_M)
+    check_limit("brute-force centre", "u", u, BRUTE_FORCE_MAX_U)
     elems = enumerate_elements(g)
     zu: frozenset[DihedralElement] = frozenset({g.identity()})
     for _ in range(u):
@@ -102,8 +97,6 @@ def iterated_commutator_equiv(
     """
     if u < 1:
         raise ParameterError(f"need a positive weight, got {u}")
-    if g.m > EQUIV_MAX_M or u > EQUIV_MAX_U:
-        raise ResourceLimitError(
-            f"equivalence check limited to m <= {EQUIV_MAX_M}, u <= {EQUIV_MAX_U}"
-        )
+    check_limit("equivalence check", "m", g.m, EQUIV_MAX_M)
+    check_limit("equivalence check", "u", u, EQUIV_MAX_U)
     return multiply(inverse(g1, g), g2, g) in center_members(u, g)

@@ -19,11 +19,14 @@ import numpy as np
 
 from . import __version__
 from .central_series import series_profile
-from .closure import PAIRS_MODULUS_LIMIT, canonicalized_elements, close_pairs
+from .closure import canonicalized_elements, close_pairs
 from .containers import decompose
 from .dihedral import SIDES, GroupParams
-from .errors import ParameterError, ResourceLimitError
-from .isomorphism import DEFAULT_SEARCH_BUDGET, IsoStatus, search_isomorphism, verify_iso_map
+from .errors import (
+    DEFAULT_PAIRS_VERIFY_LIMIT, DEFAULT_SEARCH_BUDGET, PAIRS_MODULUS_LIMIT, RAW_MODULUS_LIMIT,
+    ParameterError, ResourceLimitError, check_limit,
+)
+from .isomorphism import IsoStatus, search_isomorphism, verify_iso_map
 from .modular import is_odd_prime, orbit_profile
 from .mumaps import CanonicalMap
 from .orders import (
@@ -32,9 +35,7 @@ from .orders import (
     order_central_series,
     order_report,
 )
-from .raw import RAW_MODULUS_LIMIT, close_raw
-
-DEFAULT_PAIRS_VERIFY_LIMIT = 512
+from .raw import close_raw
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,14 +188,13 @@ def _cmd_table(args) -> int:
         raise UsageError(f"--from must be at least 3, got {args.start_m}")
     if args.start_m > args.end_m:
         raise UsageError(f"--from {args.start_m} exceeds --to {args.end_m}")
-    limit = {"raw": RAW_MODULUS_LIMIT, "pairs": PAIRS_MODULUS_LIMIT}.get(args.verify)
-    if limit is not None and args.end_m > limit:
-        raise UsageError(f"--verify {args.verify} is limited to m <= {limit}")
+    verify = "" if args.verify is None else f" --verify {args.verify}"
+    limit = RAW_MODULUS_LIMIT if args.verify == "raw" else PAIRS_MODULUS_LIMIT
+    check_limit(f"table{verify}", "m", args.end_m, limit)
     rows = [
         build_row(m, args.verify or ("pairs" if m <= DEFAULT_PAIRS_VERIFY_LIMIT else "none"))
         for m in range(args.start_m, args.end_m + 1)
     ]
-    verify = "" if args.verify is None else f" --verify {args.verify}"
     label = f"table --from {args.start_m} --to {args.end_m}{verify} --format {args.format}"
     sys.stdout.write(_emit_rows(rows, args.format, args.meta, label))
     return 0

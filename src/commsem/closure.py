@@ -25,11 +25,9 @@ from typing import Iterable
 import numpy as np
 
 from .dihedral import GroupParams, check_side
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import PAIRS_MODULUS_LIMIT, ConsistencyError, check_limit
 from .mumaps import CanonicalMap, alpha, beta, function_table, shift_modulus
 from .raw import PAIRS_ORACLE, SemigroupSummary, _blocks
-
-PAIRS_MODULUS_LIMIT = 4096
 
 
 def _scale_closure(scales: Iterable[int], m: int) -> list[int]:
@@ -71,8 +69,7 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
     are intp, the scatter's own index type.
     """
     check_side(side)
-    if g.m > PAIRS_MODULUS_LIMIT:
-        raise ResourceLimitError(f"pair closure limited to m <= {PAIRS_MODULUS_LIMIT}, got m={g.m}")
+    check_limit("pair closure", "m", g.m, PAIRS_MODULUS_LIMIT)
     m = g.m
     sm = shift_modulus(m)
     sign = -1 if side == "left" else 1

@@ -49,12 +49,11 @@ from typing import Iterator
 import numpy as np
 
 from .closure import canonicalized_elements
-from .errors import ConsistencyError, ParameterError, ResourceLimitError
+from .errors import (
+    DEFAULT_SEARCH_BUDGET, ISO_ELEMENT_LIMIT, ConsistencyError, ParameterError, check_limit
+)
 from .mumaps import CanonicalMap, shift_modulus
 from .raw import SemigroupSummary, _blocks, _changes, _distinct
-
-ISO_ELEMENT_LIMIT = 4096
-DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
 def verify_iso_map(s1: SemigroupSummary, s2: SemigroupSummary, theta, lam) -> bool:
@@ -605,10 +604,7 @@ def search_isomorphism(
     if s1.m == s2.m and np.array_equal(e1, e2):
         # same element set under the same composition rule: identity works
         return IsoSearchResult(IsoStatus.ISOMORPHIC, 0, witness(list(range(n))))
-    if n > ISO_ELEMENT_LIMIT:
-        raise ResourceLimitError(
-            f"isomorphism search limited to {ISO_ELEMENT_LIMIT} elements, got {n}"
-        )
+    check_limit("isomorphism search", "n", n, ISO_ELEMENT_LIMIT)
     mult1 = _scale_table(e1, s1.m, s1.side)
     mult2 = _scale_table(e2, s2.m, s2.side)
     colors = _refine_colors(mult1, mult2)

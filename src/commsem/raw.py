@@ -40,9 +40,7 @@ from typing import Iterator
 import numpy as np
 
 from .dihedral import GroupParams, cayley_table, check_side
-from .errors import ResourceLimitError
-
-RAW_MODULUS_LIMIT = 128
+from .errors import RAW_MODULUS_LIMIT, check_limit
 
 RAW_ORACLE = "raw_tables"
 PAIRS_ORACLE = "mu_pairs"
@@ -114,8 +112,7 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     them, G u G.W (_close_tables).  Nothing here knows about map parameters.
     """
     check_side(side)
-    if g.m > RAW_MODULUS_LIMIT:
-        raise ResourceLimitError(f"raw closure limited to m <= {RAW_MODULUS_LIMIT}, got m={g.m}")
+    check_limit("raw closure", "m", g.m, RAW_MODULUS_LIMIT)
     store = _distinct_rows(_commutator_tables(side, g))
     return SemigroupSummary(g.m, side, len(store), RAW_ORACLE, _close_tables(store))
 
