@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .central_series import center_order
 from .dihedral import GroupParams, check_side
-from .errors import ParameterError
+from .errors import DECOMPOSE_MODULUS_LIMIT, ParameterError, check_limit
 from .modular import orbit_profile
 from .mumaps import AffineMap, CanonicalMap
 
@@ -138,6 +138,7 @@ def decompose(side: str, g: GroupParams) -> Decomposition:
     """Cover the chosen commutation semigroup by disjoint containers: the
     zero-scale container and cover_power_count(side, g) powers of the base
     container."""
+    check_limit("decomposition", "m", g.m, DECOMPOSE_MODULUS_LIMIT)
     base = base_scale(side) % g.m
     t = cover_power_count(side, g)
     parts = [Container.from_pair(0, 1, g)]

@@ -5,6 +5,8 @@ RAW_MODULUS_LIMIT = 128  # canonicalized_elements: its uint8 sums cannot wrap wh
 DEFAULT_PAIRS_VERIFY_LIMIT = 512  # table with no --verify checks rows m <= this by pair closure
 ISO_ELEMENT_LIMIT = 4096  # search_isomorphism: its n x s int32 table has n**2 <= 2**24 entries
 DEFAULT_SEARCH_BUDGET = 10_000_000  # search nodes: n bounds all of a search but its backtracking
+FORMULA_MODULUS_LIMIT = 1 << 20  # orbit_profile: a dict of up to m powers, 173 MB near 2**20
+DECOMPOSE_MODULUS_LIMIT = 1 << 17  # decompose: one Container per power, 176 MB near 2**17
 # nth_center_bruteforce: u rounds over all (2m)**2 commutators, in Python
 BRUTE_FORCE_MAX_M, BRUTE_FORCE_MAX_U = 64, 8
 # iterated_commutator_equiv: the tests read it exhaustively, over (2m)**u tuples

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dihedral import GroupParams
-from .errors import ParameterError
+from .errors import FORMULA_MODULUS_LIMIT, ParameterError, check_limit
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,6 +33,7 @@ def orbit_profile(x: int, m: int) -> OrbitProfile:
     """Index, period and (when invertible) order of x mod m, by iteration."""
     if m < 2:
         raise ParameterError(f"modulus must be at least 2, got {m}")
+    check_limit("orbit profile", "m", m, FORMULA_MODULUS_LIMIT)
     return _orbit_profile(x % m, m)
 
 

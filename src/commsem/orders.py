@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .central_series import center_order
 from .containers import base_scale, cover_power_count
 from .dihedral import SIDES, GroupParams, check_side
-from .errors import ConsistencyError, ParameterError
+from .errors import FORMULA_MODULUS_LIMIT, ConsistencyError, ParameterError, check_limit
 from .modular import (
     first_repeat_exponent,
     is_odd_prime,
@@ -52,11 +52,18 @@ def _exact_div(m: int, z: int) -> int:
 
 
 def order_central_series(side: str, g: GroupParams) -> int:
-    """Semigroup order via m * (1/|Z_1| + sum_{i=1}^{t-1} 1/|Z_i|)."""
+    """Semigroup order via m * (1/|Z_1| + sum_{i=1}^{t-1} 1/|Z_i|).
+
+    The upper central series is constant from the first i with Z_{i+1} =
+    Z_i, so the terms from there to t - 1 are summed as one product.
+    """
     t = series_length(side, g)
     total = _exact_div(g.m, center_order(1, g))
     for i in range(1, t):
-        total += _exact_div(g.m, center_order(i, g))
+        term = _exact_div(g.m, center_order(i, g))
+        if center_order(i + 1, g) == center_order(i, g):
+            return total + (t - i) * term
+        total += term
     return total
 
 
@@ -113,6 +120,7 @@ class OrderReport:
 def order_report(g: GroupParams) -> OrderReport:
     """Compute both orders through all three routes and cross-check them,
     the m**2 bound, and the container-cover part count."""
+    check_limit("closed-form orders", "m", g.m, FORMULA_MODULUS_LIMIT)
     values: dict[str, int] = {}
     lengths: dict[str, int] = {}
     for side in SIDES:

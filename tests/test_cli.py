@@ -1,6 +1,7 @@
 """Command-line behaviour: outputs, formats, exit codes, determinism."""
 
 import csv
+import importlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commsem import cli, isomorphism
+from commsem import cli, errors, isomorphism
 from commsem.closure import PAIRS_MODULUS_LIMIT
 from commsem.isomorphism import DEFAULT_SEARCH_BUDGET, ISO_ELEMENT_LIMIT
 from commsem.raw import RAW_MODULUS_LIMIT, SemigroupSummary
@@ -88,6 +89,84 @@ def test_table_usage_errors(capsys, monkeypatch):
     )
     assert code == 1 and not out
     assert "--verify pairs" in err and f"m <= {PAIRS_MODULUS_LIMIT}" in err
+
+
+
+def _refuse_to_run(*_args):
+    raise AssertionError("the work ran before the refusal")
+
+
+FORMULA_TOP = errors.FORMULA_MODULUS_LIMIT + 1
+DECOMPOSE_TOP = errors.DECOMPOSE_MODULUS_LIMIT + 1
+PAIRS_TOP = errors.PAIRS_MODULUS_LIMIT + 1
+
+
+@pytest.mark.parametrize(
+    "argv, work, message",
+    [
+        (
+            ("order", "--m", str(FORMULA_TOP)),
+            ("modular._orbit_profile", "orders.order_central_series"),
+            f"closed-form orders limited to m <= {FORMULA_TOP - 1}, got m={FORMULA_TOP}",
+        ),
+        (
+            ("orbit", "--m", str(FORMULA_TOP), "--x", "3"),
+            ("modular._orbit_profile",),
+            f"orbit profile limited to m <= {FORMULA_TOP - 1}, got m={FORMULA_TOP}",
+        ),
+        (
+            ("decompose", "--m", str(DECOMPOSE_TOP), "--side", "left"),
+            ("containers.cover_power_count",),
+            f"decomposition limited to m <= {DECOMPOSE_TOP - 1}, got m={DECOMPOSE_TOP}",
+        ),
+        (
+            ("table", "--from", "3", "--to", str(PAIRS_TOP)),
+            ("cli.build_row",),
+            f"table limited to m <= {PAIRS_TOP - 1}, got m={PAIRS_TOP}",
+        ),
+        (
+            ("table", "--from", "3", "--to", str(PAIRS_TOP), "--verify", "none"),
+            ("cli.build_row",),
+            f"table --verify none limited to m <= {PAIRS_TOP - 1}, got m={PAIRS_TOP}",
+        ),
+    ],
+)
+def test_formula_commands_refuse_above_their_caps(capsys, monkeypatch, argv, work, message):
+    # the work is patched to raise, so each refusal comes before any power walk
+    for target in work:
+        module, name = target.split(".")
+        monkeypatch.setattr(importlib.import_module(f"commsem.{module}"), name, _refuse_to_run)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and not out
+    assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "modules, name, cap, what, argv",
+    [
+        (("modular", "orders"), "FORMULA_MODULUS_LIMIT", 100, "closed-form orders", ("order", "--m")),
+        (("modular",), "FORMULA_MODULUS_LIMIT", 100, "orbit profile", ("orbit", "--m")),
+        (("containers",), "DECOMPOSE_MODULUS_LIMIT", 50, "decomposition", ("decompose", "--m")),
+        (("cli",), "PAIRS_MODULUS_LIMIT", 40, "table", ("table", "--from", "40", "--to")),
+        (
+            ("cli",),
+            "PAIRS_MODULUS_LIMIT",
+            40,
+            "table --verify none",
+            ("table", "--verify", "none", "--from", "40", "--to"),
+        ),
+    ],
+)
+def test_formula_caps_admit_the_cap_and_refuse_one_more(
+    capsys, monkeypatch, modules, name, cap, what, argv
+):
+    for module in modules:
+        monkeypatch.setattr(importlib.import_module(f"commsem.{module}"), name, cap)
+    code, out, _ = run_cli(capsys, *argv, str(cap))
+    assert code == 0 and out
+    code, out, err = run_cli(capsys, *argv, str(cap + 1))
+    assert code == 1 and not out
+    assert err == f"usage error: {what} limited to m <= {cap}, got m={cap + 1}\n"
 
 
 def test_table_csv_round_trip(capsys):
