@@ -30,7 +30,8 @@ def test_caps_keep_their_invariants():
     assert pairs * shift_modulus(pairs) <= 2**24
     assert 2 * raw <= 256
     assert errors.ISO_ELEMENT_LIMIT**2 <= 2**24
-    # every modulus a closure admits has closed-form orders and a cover
+    # a table row a closure admits has closed-form orders, and a cover its
+    # orbit profile
     assert raw <= pairs
     assert errors.DEFAULT_PAIRS_VERIFY_LIMIT <= pairs <= errors.FORMULA_MODULUS_LIMIT
     assert errors.DECOMPOSE_MODULUS_LIMIT <= errors.FORMULA_MODULUS_LIMIT
