@@ -162,24 +162,25 @@ def _emit_rows(rows: list[TableRow], fmt: str, meta: bool, args_label: str) -> s
     return "\n".join(lines) + "\n"
 
 
+def _side_name(side: str) -> str:
+    """P names the right commutation semigroup, L the left."""
+    return "P" if side == "right" else "L"
+
+
 def _cmd_order(args) -> int:
     g = GroupParams.from_modulus(args.m)
     rep = order_report(g)
     sides = SIDES if args.side == "both" else (args.side,)
     if args.format == "json":
         payload = {"m": args.m, "formula": rep.formula_used}
-        if "right" in sides:
-            payload["p_order"] = rep.p_order
-            payload["t_right"] = rep.t_right
-        if "left" in sides:
-            payload["lambda_order"] = rep.lambda_order
-            payload["t_left"] = rep.t_left
+        for side in sides:
+            payload["p_order" if side == "right" else "lambda_order"] = rep.order(side)
+            payload[f"t_{side}"] = getattr(rep, f"t_{side}")
         print(json.dumps(payload, indent=2))
         return 0
     for side in sides:
-        name = "|P|" if side == "right" else "|L|"
-        t = rep.t_right if side == "right" else rep.t_left
-        print(f"D_{args.m} {name} = {rep.order(side)}  (branch {rep.formula_used}, t = {t})")
+        print(f"D_{args.m} |{_side_name(side)}| = {rep.order(side)}  "
+              f"(branch {rep.formula_used}, t = {getattr(rep, f't_{side}')})")
     return 0
 
 
@@ -204,7 +205,6 @@ def _cmd_decompose(args) -> int:
     g = GroupParams.from_modulus(args.m)
     dec = decompose(args.side, g)
     sizes = dec.part_sizes(g)
-    name = "P" if args.side == "right" else "L"
     if args.format == "json":
         payload = {
             "m": args.m,
@@ -218,7 +218,7 @@ def _cmd_decompose(args) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"{name}(D_{args.m}) as {len(dec.parts)} disjoint containers:")
+    print(f"{_side_name(args.side)}(D_{args.m}) as {len(dec.parts)} disjoint containers:")
     total = 0
     for part, size in zip(dec.parts, sizes):
         total += size
@@ -282,27 +282,23 @@ def _cmd_iso(args) -> int:
     if args.m2 is None and args.side is not None:
         raise UsageError("--side needs --m2; P(D_m) vs L(D_m) always compares both sides")
     g1 = GroupParams.from_modulus(args.m)
-    inconclusive = False
     if args.m2 is None:
-        result = search_isomorphism(
-            close_pairs("right", g1), close_pairs("left", g1), args.budget
-        )
-        crit = gupta_criterion(g1)
-        print(f"P(D_{args.m}) vs L(D_{args.m}): {result.status.value} "
-              f"(criterion says {'isomorphic' if crit else 'not isomorphic'}, "
-              f"{result.nodes} nodes)")
-        inconclusive = result.status is IsoStatus.BUDGET_EXHAUSTED
+        g2, comparisons = g1, [("right", "left")]
     else:
         g2 = GroupParams.from_modulus(args.m2)
         sides = SIDES if args.side in (None, "both") else (args.side,)
-        for side in sides:
-            name = "P" if side == "right" else "L"
-            result = search_isomorphism(
-                close_pairs(side, g1), close_pairs(side, g2), args.budget
-            )
-            print(f"{name}(D_{args.m}) vs {name}(D_{args.m2}): {result.status.value} "
-                  f"({result.nodes} nodes)")
-            inconclusive = inconclusive or result.status is IsoStatus.BUDGET_EXHAUSTED
+        comparisons = [(side, side) for side in sides]
+    inconclusive = False
+    for side1, side2 in comparisons:
+        result = search_isomorphism(close_pairs(side1, g1), close_pairs(side2, g2), args.budget)
+        # the criterion speaks of P(D_m) vs L(D_m) alone; it factors m, so it
+        # runs after the search, whose caps refuse a huge m first
+        note = ""
+        if args.m2 is None:
+            note = f"criterion says {'isomorphic' if gupta_criterion(g1) else 'not isomorphic'}, "
+        print(f"{_side_name(side1)}(D_{g1.m}) vs {_side_name(side2)}(D_{g2.m}): "
+              f"{result.status.value} ({note}{result.nodes} nodes)")
+        inconclusive = inconclusive or result.status is IsoStatus.BUDGET_EXHAUSTED
     return 2 if inconclusive else 0
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .dihedral import GroupParams, check_side
 from .errors import PAIRS_MODULUS_LIMIT, ConsistencyError, check_limit
 from .mumaps import CanonicalMap, alpha, beta, function_table, shift_modulus
-from .raw import PAIRS_ORACLE, SemigroupSummary, _blocks
+from .raw import SemigroupSummary, _blocks
 
 
 def _scale_closure(scales: Iterable[int], m: int) -> list[int]:
@@ -90,12 +90,13 @@ def close_pairs(side: str, g: GroupParams) -> SemigroupSummary:
         products -= products // sm * sm
         seen[(c1 * w % m * sm).astype(np.intp)[:, None] + products] = True
     elements = np.flatnonzero(seen).astype(np.int64, copy=False)
-    return SemigroupSummary(m, side, generator_count, PAIRS_ORACLE, elements)
+    return SemigroupSummary(m, side, generator_count, elements)
 
 
 def canonicalized_elements(summary: SemigroupSummary) -> np.ndarray:
-    """The elements as a sorted, read-only int64 array of CanonicalMap keys,
-    decoding raw tables when needed.
+    """The elements as a sorted, read-only int64 array of CanonicalMap keys:
+    a pair summary's 1-D key array itself, or a raw summary's 2-D tables
+    decoded.
 
     A raw table is decoded from the images of a and b alone: a goes to a^c
     and b to a^(2y), so the table names the map (c, y).  It is that map's
@@ -107,7 +108,7 @@ def canonicalized_elements(summary: SemigroupSummary) -> np.ndarray:
     sum is below 256 and does not wrap.  A table that fails any of them is
     not in the family, and is a hard error.
     """
-    if summary.oracle == PAIRS_ORACLE:
+    if summary.elements.ndim == 1:
         return summary.elements
     m = summary.m
     sm = shift_modulus(m)

@@ -9,7 +9,7 @@ pure functions, so they are safe to share across threads.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,31 +18,29 @@ from .errors import ParameterError
 
 @dataclass(frozen=True, slots=True)
 class GroupParams:
-    """Modulus m together with its splitting m = 2**ell * n, n odd."""
+    """Modulus m >= 3 together with its splitting m = 2**ell * n, n odd.
+
+    m is the only constructor argument: ell and n are derived from it by
+    halving, so the three cannot disagree.
+    """
 
     m: int
-    ell: int
-    n: int
+    ell: int = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.m < 3:
             raise ParameterError(f"dihedral modulus must be at least 3, got m={self.m}")
-        if self.ell < 0 or self.n < 1 or self.n % 2 == 0:
-            raise ParameterError(
-                f"need m = 2**ell * n with n odd: ell={self.ell}, n={self.n}"
-            )
-        if self.m != (1 << self.ell) * self.n:
-            raise ParameterError(f"m={self.m} is not 2**{self.ell} * {self.n}")
-
-    @classmethod
-    def from_modulus(cls, m: int) -> "GroupParams":
-        if m < 3:
-            raise ParameterError(f"dihedral modulus must be at least 3, got m={m}")
-        ell, n = 0, m
+        ell, n = 0, self.m
         while n % 2 == 0:
             n //= 2
             ell += 1
-        return cls(m, ell, n)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "n", n)
+
+    @classmethod
+    def from_modulus(cls, m: int) -> "GroupParams":
+        return cls(m)
 
     def element(self, i: int, j: int) -> "DihedralElement":
         return DihedralElement(i % self.m, j % 2, self.m)

@@ -95,14 +95,7 @@ def first_repeat_exponent(x: int, m: int, ell: int) -> int:
 
 
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return p >= 3 and p % 2 == 1 and odd_prime_factors(p) == (p,)
 
 
 def odd_prime_factors(n: int) -> tuple[int, ...]:

@@ -26,8 +26,9 @@ searching compare whole tables byte for byte, and sorted tables are told
 apart by comparing them as matrices of machine words (_changes).
 
 Each oracle holds its elements in one read-only numpy array
-(SemigroupSummary): sorted CanonicalMap keys for the pair oracle, and the
-uint8 image tables, one row per element, for the raw oracle.
+(SemigroupSummary), and the array's rank tells which oracle closed it:
+sorted CanonicalMap keys (1-D) for the pair oracle, and the uint8 image
+tables (2-D), one row per element, for the raw oracle.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ import numpy as np
 from .dihedral import GroupParams, cayley_table, check_side
 from .errors import RAW_MODULUS_LIMIT, check_limit
 
-RAW_ORACLE = "raw_tables"
-PAIRS_ORACLE = "mu_pairs"
-
 # bytes in one temporary array of a chunked numpy step
 _CHUNK_BYTES = 1 << 20
 
@@ -58,18 +56,19 @@ def _blocks(count: int, item_bytes: int) -> Iterator[slice]:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class SemigroupSummary:
-    """One closed commutation semigroup with its elements and provenance.
+    """One closed commutation semigroup: its modulus, side, number of
+    distinct generators and elements.
 
-    elements is a read-only array: sorted int64 CanonicalMap keys for the
-    pair oracle (decode with CanonicalMap.from_key), and an (n, 2m) uint8
-    array of image tables, one row per element, in byte order, for the raw
-    oracle (decode with canonicalized_elements).
+    elements is a read-only array whose rank tells the oracle that closed
+    it: a 1-D array of sorted int64 CanonicalMap keys for the pair oracle
+    (decode with CanonicalMap.from_key), and a 2-D (n, 2m) uint8 array of
+    image tables, one row per element, in byte order, for the raw oracle
+    (decode with canonicalized_elements).
     """
 
     m: int
     side: str
     generator_count: int
-    oracle: str
     elements: np.ndarray
 
     def __post_init__(self) -> None:
@@ -114,7 +113,7 @@ def close_raw(side: str, g: GroupParams) -> SemigroupSummary:
     check_side(side)
     check_limit("raw closure", "m", g.m, RAW_MODULUS_LIMIT)
     store = _distinct_rows(_commutator_tables(side, g))
-    return SemigroupSummary(g.m, side, len(store), RAW_ORACLE, _close_tables(store))
+    return SemigroupSummary(g.m, side, len(store), _close_tables(store))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -39,6 +40,48 @@ def test_order_command(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["p_order"] == 63 and "lambda_order" not in payload
+
+
+@pytest.mark.parametrize(
+    "m, side, lines",
+    [
+        (36, "both", ['"formula": "even-mixed",', '"p_order": 63,', '"t_right": 5,',
+                      '"lambda_order": 90,', '"t_left": 8']),
+        (36, "right", ['"formula": "even-mixed",', '"p_order": 63,', '"t_right": 5']),
+        (64, "left", ['"formula": "power-of-two",', '"lambda_order": 94,', '"t_left": 6']),
+    ],
+)
+def test_order_json_bytes(capsys, m, side, lines):
+    # the exact payload, key order included: right's keys before left's
+    code, out, err = run_cli(capsys, "order", "--m", str(m), "--side", side, "--format", "json")
+    assert code == 0 and err == ""
+    assert out == "\n".join(["{", f'  "m": {m},', *("  " + line for line in lines), "}", ""])
+
+
+def _readme_examples() -> list:
+    """One param per `$ commsem` line of README's text block: the command,
+    the lines it prints up to the blank line before the next one, and
+    whether a ... line cuts them short."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```text\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.split("$ commsem ")[1:]:
+        command, *lines = chunk.rstrip("\n").splitlines()
+        cut = "..." in lines
+        if cut:
+            lines = lines[: lines.index("...")]
+        examples.append(pytest.param(command, lines, cut, id=command))
+    return examples
+
+
+@pytest.mark.parametrize("command, lines, cut", _readme_examples())
+def test_readme_examples(capsys, command, lines, cut):
+    # each example prints exactly its lines, or begins with them when a ...
+    # line cuts it short
+    code, out, err = run_cli(capsys, *shlex.split(command))
+    assert code == 0 and err == ""
+    printed = out.splitlines()
+    assert (printed[: len(lines)] if cut else printed) == lines
 
 
 def test_module_entry_point(capsys):
@@ -330,7 +373,7 @@ def test_row_verifies_one_side_at_a_time(monkeypatch, verify_level, expected):
 
 def test_verification_failure_exit_code(capsys, monkeypatch):
     def broken_close_pairs(side, g):
-        return SemigroupSummary(g.m, side, 1, "mu_pairs", np.array([0]))
+        return SemigroupSummary(g.m, side, 1, np.array([0]))
 
     monkeypatch.setattr(cli, "close_pairs", broken_close_pairs)
     code, out, err = run_cli(capsys, "table", "--from", "8", "--to", "8", "--verify", "pairs")
@@ -349,7 +392,7 @@ def test_raw_element_set_mismatch_names_sizes_and_key(capsys, monkeypatch):
         # side is checked first
         summary = real_close_pairs(side, g)
         changed = np.sort(np.append(summary.elements[:-1], missing))
-        return SemigroupSummary(g.m, side, summary.generator_count, summary.oracle, changed)
+        return SemigroupSummary(g.m, side, summary.generator_count, changed)
 
     monkeypatch.setattr(cli, "close_pairs", one_key_changed)
     code, out, err = run_cli(capsys, "table", "--from", "8", "--to", "8", "--verify", "raw")
@@ -477,9 +520,12 @@ def test_iso_command(capsys):
     # --side picks the comparisons of an --m/--m2 query
     code, out, _ = run_cli(capsys, "iso", "--m", "10", "--m2", "5", "--side", "right")
     assert code == 0 and out.startswith("P(D_10) vs P(D_5)") and out.count("\n") == 1
+    code, out, _ = run_cli(capsys, "iso", "--m", "10", "--m2", "5", "--side", "left")
+    assert code == 0 and out == "L(D_10) vs L(D_5): isomorphic_with_witness (7 nodes)\n"
     # a zero budget still answers from colour refinement alone
     code, out, _ = run_cli(capsys, "iso", "--m", "15", "--budget", "0")
-    assert code == 0 and "not_isomorphic" in out
+    assert code == 0
+    assert out == "P(D_15) vs L(D_15): not_isomorphic (criterion says not isomorphic, 0 nodes)\n"
     # pinned node counts of the colour-refinement paths: stamp rounds (m = 100,
     # and m = 244, whose 3904 elements fall into 64 row types, the most of any
     # P vs L or 2p vs p pair within the cap), separation by the initial

@@ -62,7 +62,11 @@ def test_raw_anchor_values():
     assert right.size == left.size == 10
     assert not np.array_equal(right.elements, left.elements)
     assert right.generator_count == 8
-    assert right.oracle == "raw_tables"
+    assert right.elements.shape == (10, 16) and right.elements.dtype == np.uint8
+    # the rank of elements tells the oracle: a pair summary's 1-D keys are
+    # its canonical elements as they stand
+    pairs = close_pairs("right", g8)
+    assert pairs.elements.ndim == 1 and canonicalized_elements(pairs) is pairs.elements
     for m in (3, 5, 8):
         for side in ("right", "left"):
             summary = close_raw(side, GroupParams.from_modulus(m))
@@ -326,7 +330,7 @@ def test_canonicalized_elements_names_corrupted_tables():
         (off_family, "outside the map family"),
         (off_reflection, "outside the map family"),
     ):
-        summary = SemigroupSummary(8, "right", 1, "raw_tables", corrupt[None])
+        summary = SemigroupSummary(8, "right", 1, corrupt[None])
         with pytest.raises(ConsistencyError) as excinfo:
             canonicalized_elements(summary)
         message = str(excinfo.value)
@@ -341,7 +345,7 @@ def test_canonicalized_elements_names_corrupted_tables():
     for column in (128 + 3, 1, 3):  # a reflection, the image of a, a rotation
         corrupt = table.copy()
         corrupt[column] += 128
-        summary = SemigroupSummary(128, "right", 1, "raw_tables", corrupt[None])
+        summary = SemigroupSummary(128, "right", 1, corrupt[None])
         with pytest.raises(ConsistencyError) as excinfo:
             canonicalized_elements(summary)
         message = str(excinfo.value)
@@ -358,7 +362,7 @@ def test_canonicalized_elements_accepts_every_family_table(m):
     shifts = range(m) if m < 128 else (0, 1, 2, 63, 64, 127)
     maps = [mu_map(a, y, g) for a in range(m) for y in shifts]
     tables = np.array([function_table(f, g) for f in maps], dtype=np.uint8)
-    summary = SemigroupSummary(m, "right", 1, "raw_tables", tables)
+    summary = SemigroupSummary(m, "right", 1, tables)
     keys = canonicalized_elements(summary)
     assert keys.tolist() == sorted(f.canonical().key for f in maps)
 

@@ -30,8 +30,9 @@ from support import (
 def test_params_split():
     g = GroupParams.from_modulus(24)
     assert (g.m, g.ell, g.n) == (24, 3, 3)
-    assert GroupParams.from_modulus(7) == GroupParams(7, 0, 7)
-    assert GroupParams.from_modulus(16) == GroupParams(16, 4, 1)
+    assert (GroupParams(7).ell, GroupParams(7).n) == (0, 7)
+    assert (GroupParams(16).ell, GroupParams(16).n) == (4, 1)
+    assert GroupParams.from_modulus(16) == GroupParams(16)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, -5])
@@ -40,11 +41,13 @@ def test_small_moduli_rejected(m):
         GroupParams.from_modulus(m)
 
 
-def test_params_consistency_enforced():
-    with pytest.raises(ParameterError):
+def test_params_split_is_derived():
+    # m is the only constructor argument, so no split can disagree with it
+    for m in range(3, 4097):
+        g = GroupParams(m)
+        assert (1 << g.ell) * g.n == m and g.n % 2 == 1
+    with pytest.raises(TypeError):
         GroupParams(12, 1, 3)
-    with pytest.raises(ParameterError):
-        GroupParams(12, 2, 6)
 
 
 def test_multiply_examples():
