@@ -29,8 +29,6 @@ def center_order(u: int, g: GroupParams) -> int:
     """Order of the u-th centre."""
     if u < 0:
         raise ParameterError(f"central series position must be nonnegative, got {u}")
-    if g.ell == 0:
-        return 1
     if g.n > 1:
         return 1 << min(u, g.ell)
     return (1 << u) if u < g.ell else 2 * g.m
@@ -41,16 +39,11 @@ def center_members(u: int, g: GroupParams) -> frozenset[DihedralElement]:
     if u < 0:
         raise ParameterError(f"central series position must be nonnegative, got {u}")
     m = g.m
-    if g.ell == 0:
-        return frozenset({g.identity()})
-    if g.n > 1:
-        if u < g.ell:
-            step = (1 << (g.ell - u)) * g.n
-            return frozenset(DihedralElement(step * x % m, 0, m) for x in range(1 << u))
-        return frozenset(DihedralElement(g.n * x % m, 0, m) for x in range(1 << g.ell))
     if u < g.ell:
-        step = 1 << (g.ell - u)
+        step = (1 << (g.ell - u)) * g.n
         return frozenset(DihedralElement(step * x % m, 0, m) for x in range(1 << u))
+    if g.n > 1:
+        return frozenset(DihedralElement(g.n * x % m, 0, m) for x in range(1 << g.ell))
     return frozenset(enumerate_elements(g))
 
 
@@ -64,9 +57,8 @@ class CentralSeriesProfile:
 
 
 def series_profile(g: GroupParams) -> CentralSeriesProfile:
-    stab = 0 if g.ell == 0 else g.ell
-    orders = tuple(center_order(u, g) for u in range(stab + 1))
-    return CentralSeriesProfile(orders, stab, g.n == 1)
+    orders = tuple(center_order(u, g) for u in range(g.ell + 1))
+    return CentralSeriesProfile(orders, g.ell, g.n == 1)
 
 
 def nth_center_bruteforce(u: int, g: GroupParams) -> frozenset[DihedralElement]:

@@ -9,6 +9,7 @@ search).  Output is deterministic; --meta prepends provenance headers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -24,7 +25,7 @@ from .containers import decompose
 from .dihedral import SIDES, GroupParams
 from .errors import (
     DEFAULT_PAIRS_VERIFY_LIMIT, DEFAULT_SEARCH_BUDGET, PAIRS_MODULUS_LIMIT, RAW_MODULUS_LIMIT,
-    ParameterError, ResourceLimitError, check_limit,
+    ConsistencyError, ParameterError, ResourceLimitError, check_limit,
 )
 from .isomorphism import IsoStatus, search_isomorphism, verify_iso_map
 from .modular import is_odd_prime, orbit_profile
@@ -57,17 +58,9 @@ class TableRow:
 CSV_COLUMNS = tuple(f.name for f in fields(TableRow))
 
 
-class UsageError(Exception):
-    pass
-
-
-class VerificationFailure(Exception):
-    """Formula and oracle disagree; the message names m, side and both values."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
-        raise UsageError(message)
+        raise ParameterError(message)
 
 
 def build_row(m: int, verify_level: str) -> TableRow:
@@ -81,14 +74,14 @@ def build_row(m: int, verify_level: str) -> TableRow:
             order = rep.order(side)
             pair_keys = close_pairs(side, g).elements
             if len(pair_keys) != order:
-                raise VerificationFailure(
+                raise ConsistencyError(
                     f"m={m} side={side}: formula value {order} != "
                     f"pair-oracle value {len(pair_keys)}"
                 )
             if verify_level == "raw":
                 raw = close_raw(side, g)
                 if raw.size != order:
-                    raise VerificationFailure(
+                    raise ConsistencyError(
                         f"m={m} side={side}: formula value {order} != "
                         f"raw-oracle value {raw.size}"
                     )
@@ -98,7 +91,7 @@ def build_row(m: int, verify_level: str) -> TableRow:
                     # they first differ, the smaller key is in one set only
                     i = np.flatnonzero(raw_keys != pair_keys)[0]
                     key, only = min((int(raw_keys[i]), "raw"), (int(pair_keys[i]), "pair"))
-                    raise VerificationFailure(
+                    raise ConsistencyError(
                         f"m={m} side={side} stage=raw_vs_pairs: raw-oracle element set "
                         f"({len(raw_keys)} keys) differs from pair oracle ({len(pair_keys)} "
                         f"keys); key {key} ({CanonicalMap.from_key(key, m)}) is only in the "
@@ -186,9 +179,9 @@ def _cmd_order(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.start_m < 3:
-        raise UsageError(f"--from must be at least 3, got {args.start_m}")
+        raise ParameterError(f"--from must be at least 3, got {args.start_m}")
     if args.start_m > args.end_m:
-        raise UsageError(f"--from {args.start_m} exceeds --to {args.end_m}")
+        raise ParameterError(f"--from {args.start_m} exceeds --to {args.end_m}")
     verify = "" if args.verify is None else f" --verify {args.verify}"
     limit = RAW_MODULUS_LIMIT if args.verify == "raw" else PAIRS_MODULUS_LIMIT
     check_limit(f"table{verify}", "m", args.end_m, limit)
@@ -278,9 +271,9 @@ def _cmd_orbit(args) -> int:
 
 def _cmd_iso(args) -> int:
     if args.budget < 0:
-        raise UsageError(f"--budget must be at least 0, got {args.budget}")
+        raise ParameterError(f"--budget must be at least 0, got {args.budget}")
     if args.m2 is None and args.side is not None:
-        raise UsageError("--side needs --m2; P(D_m) vs L(D_m) always compares both sides")
+        raise ParameterError("--side needs --m2; P(D_m) vs L(D_m) always compares both sides")
     g1 = GroupParams.from_modulus(args.m)
     if args.m2 is None:
         g2, comparisons = g1, [("right", "left")]
@@ -432,20 +425,27 @@ def main(argv: list[str] | None = None) -> int:
     main may be called repeatedly in one process.  The first call builds the
     parser and later calls reuse it, so a call pays only for its own command.
     The parser holds no functions: each call looks up its command's _cmd_*
-    function by name when it runs, so a replaced _cmd_* takes effect.
+    function by name when it runs, so a replaced _cmd_* takes effect.  A
+    ParameterError or ResourceLimitError exits 1 and a ConsistencyError 2;
+    the command's stdout is held until it returns, so a failed command
+    prints nothing there.
     """
     global _parser
     if _parser is None:
         _parser = build_parser()
+    out = io.StringIO()
     try:
         args = _parser.parse_args(argv)
-        return globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except (UsageError, ParameterError, ResourceLimitError) as exc:
+        with contextlib.redirect_stdout(out):
+            status = globals()["_cmd_" + args.command.replace("-", "_")](args)
+    except (ParameterError, ResourceLimitError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except VerificationFailure as exc:
+    except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return status
 
 
 def entrypoint() -> None:

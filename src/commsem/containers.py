@@ -75,25 +75,6 @@ def containers_disjoint(c1: Container, c2: Container) -> bool:
     return c1.scale != c2.scale
 
 
-def cardinality_detail(
-    c: Container, g: GroupParams, series_index: int | None = None
-) -> tuple[int, str]:
-    """Container size and the path that produced it.
-
-    With a central-series position u >= 1 whose centre lies in the rotation
-    subgroup (always true except for powers of two with u >= ell), the size
-    is m / |Z_u|; the zero-scale container uses u = 1.  Outside that
-    hypothesis, or with no position given, members are counted directly.
-    """
-    if c.modulus != g.m:
-        raise ParameterError("container modulus does not match group modulus")
-    if series_index is not None and series_index >= 1 and not (
-        g.n == 1 and series_index >= g.ell
-    ):
-        return g.m // center_order(series_index, g), "central-series"
-    return len(container_members(c)), "direct-count"
-
-
 @dataclass(frozen=True, slots=True)
 class Decomposition:
     """Pairwise-disjoint container cover of one commutation semigroup.
@@ -107,10 +88,12 @@ class Decomposition:
     t: int
 
     def part_sizes(self, g: GroupParams) -> tuple[int, ...]:
-        return tuple(
-            cardinality_detail(part, g, series_index=max(i, 1))[0]
-            for i, part in enumerate(self.parts)
-        )
+        """m / |Z_u| for part i, u = max(i, 1).  A power-of-two cover has
+        t = ell - 1 powers, so u stays below ell, where Z_u is a rotation
+        subgroup."""
+        if self.parts[0].modulus != g.m:
+            raise ParameterError("container modulus does not match group modulus")
+        return tuple(g.m // center_order(max(i, 1), g) for i in range(len(self.parts)))
 
     def member_union(self) -> frozenset[CanonicalMap]:
         out: set[CanonicalMap] = set()

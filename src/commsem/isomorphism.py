@@ -42,9 +42,9 @@ such, never guessed around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -90,14 +90,18 @@ class IsoStatus(Enum):
 @dataclass(frozen=True, slots=True)
 class IsoSearchResult:
     """The verdict and the search nodes it took.  A found witness is kept
-    undecoded, as (keys1, m1, keys2, m2, image): the sorted keys of both
-    semigroups, their moduli, and the index image[x] of the image of keys1[x]
-    in keys2.  witness decodes it into CanonicalMaps on each read, since most
-    callers read only the verdict."""
+    undecoded, as (keys1, m1, keys2, m2, image): the read-only sorted key
+    arrays that canonicalized_elements returned for both semigroups (a pair
+    summary's own elements), their moduli, and the index image[x] of the
+    image of keys1[x] in keys2, range(n) for the identity.  Nothing is
+    copied, and witness decodes it into CanonicalMaps on each read, since
+    most callers read only the verdict.  found takes no part in ==."""
 
     status: IsoStatus
     nodes: int
-    found: tuple[list[int], int, list[int], int, list[int]] | None = None
+    found: tuple[np.ndarray, int, np.ndarray, int, Sequence[int]] | None = field(
+        default=None, compare=False
+    )
 
     @property
     def witness(self) -> dict[CanonicalMap, CanonicalMap] | None:
@@ -105,7 +109,9 @@ class IsoSearchResult:
             return None
         keys1, m1, keys2, m2, image = self.found
         decode = CanonicalMap.from_key
-        return {decode(keys1[x], m1): decode(keys2[w], m2) for x, w in enumerate(image)}
+        return {
+            decode(int(keys1[x]), m1): decode(int(keys2[w]), m2) for x, w in enumerate(image)
+        }
 
 
 def _scale_table(keys: np.ndarray, m: int, side: str) -> tuple[np.ndarray, np.ndarray]:
@@ -597,13 +603,9 @@ def search_isomorphism(
     e1 = canonicalized_elements(s1)
     e2 = canonicalized_elements(s2)
     n = len(e1)
-
-    def witness(image: list[int]) -> tuple:
-        return e1.tolist(), s1.m, e2.tolist(), s2.m, image
-
     if s1.m == s2.m and np.array_equal(e1, e2):
         # same element set under the same composition rule: identity works
-        return IsoSearchResult(IsoStatus.ISOMORPHIC, 0, witness(list(range(n))))
+        return IsoSearchResult(IsoStatus.ISOMORPHIC, 0, (e1, s1.m, e2, s2.m, range(n)))
     check_limit("isomorphism search", "n", n, ISO_ELEMENT_LIMIT)
     mult1 = _scale_table(e1, s1.m, s1.side)
     mult2 = _scale_table(e2, s2.m, s2.side)
@@ -654,7 +656,7 @@ def search_isomorphism(
         elif len(domain) == n and _preserves_products(
             np.array(phi, dtype=np.int32), mult1, mult2
         ):
-            return IsoSearchResult(IsoStatus.ISOMORPHIC, nodes, witness(phi))
+            return IsoSearchResult(IsoStatus.ISOMORPHIC, nodes, (e1, s1.m, e2, s2.m, phi))
         # advance the deepest open choice to its next unused image
         while stack:
             k, untried, mark = stack[-1]

@@ -44,7 +44,7 @@ from commsem import (
     rho_map,
 )
 from commsem import raw
-from commsem.isomorphism import _distinct
+from commsem.raw import _distinct
 
 from commsem.mumaps import CanonicalMap, alpha, beta, shift_modulus
 from perm_oracle import perm_commutator, perm_compose, perm_inverse, perm_of

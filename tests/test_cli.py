@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from commsem import cli, errors, isomorphism
-from commsem.closure import PAIRS_MODULUS_LIMIT
-from commsem.isomorphism import DEFAULT_SEARCH_BUDGET, ISO_ELEMENT_LIMIT
-from commsem.raw import RAW_MODULUS_LIMIT, SemigroupSummary
+from commsem.errors import (
+    DEFAULT_SEARCH_BUDGET, ISO_ELEMENT_LIMIT, PAIRS_MODULUS_LIMIT, RAW_MODULUS_LIMIT
+)
+from commsem.raw import SemigroupSummary
 from reference_orders import REFERENCE_ORDERS
 
 
@@ -401,6 +402,51 @@ def test_raw_element_set_mismatch_names_sizes_and_key(capsys, monkeypatch):
         "verification failure: m=8 side=right stage=raw_vs_pairs: raw-oracle element set "
         f"(10 keys) differs from pair oracle (10 keys); key {missing} "
         f"({cli.CanonicalMap.from_key(missing, 8)}) is only in the pair oracle\n"
+    )
+
+
+def test_consistency_error_in_a_command_exits_2(capsys, monkeypatch):
+    def disagreeing_report(g):
+        raise errors.ConsistencyError(f"m={g.m} side=right stage=order_report: 5 != 6")
+
+    monkeypatch.setattr(cli, "order_report", disagreeing_report)
+    assert run_cli(capsys, "order", "--m", "9") == (
+        2, "", "verification failure: m=9 side=right stage=order_report: 5 != 6\n"
+    )
+
+
+def test_raw_table_outside_the_map_family_exits_2(capsys, monkeypatch):
+    real_close_raw = cli.close_raw
+
+    def one_entry_changed(side, g):
+        # the right size, with the image of the identity rotation moved off 0
+        summary = real_close_raw(side, g)
+        tables = summary.elements.copy()
+        tables[-1, 0] = 1
+        return SemigroupSummary(g.m, side, summary.generator_count, tables)
+
+    monkeypatch.setattr(cli, "close_raw", one_entry_changed)
+    code, out, err = run_cli(capsys, "table", "--from", "8", "--to", "8", "--verify", "raw")
+    assert code == 2 and out == ""
+    assert err.startswith(
+        "verification failure: m=8 side=right stage=canonicalized_elements: raw table "
+    )
+    assert "is outside the map family" in err
+
+
+def test_failed_command_prints_nothing_on_stdout(capsys, monkeypatch):
+    # iso --m 74 --m2 37 compares P and then L; the L search fails after the
+    # P line is printed
+    real_scale_table = isomorphism._scale_table
+
+    def failing_on_left(keys, m, side):
+        if side == "left":
+            raise errors.ConsistencyError(f"m={m} side={side} stage=_scale_table: 1 != 2")
+        return real_scale_table(keys, m, side)
+
+    monkeypatch.setattr(isomorphism, "_scale_table", failing_on_left)
+    assert run_cli(capsys, "iso", "--m", "74", "--m2", "37") == (
+        2, "", "verification failure: m=74 side=left stage=_scale_table: 1 != 2\n"
     )
 
 

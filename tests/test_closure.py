@@ -33,7 +33,9 @@ from commsem import (
     search_isomorphism,
     verify_iso_map,
 )
-from commsem import central_series, closure, containers, isomorphism, modular, mumaps, orders, raw
+from commsem import (
+    central_series, closure, containers, errors, isomorphism, modular, mumaps, orders, raw
+)
 from support import (
     check_oracle_agreement,
     check_pairs_match_formula,
@@ -673,7 +675,7 @@ def test_search_meets_its_specification(monkeypatch, m1, side1, m2, side2, one, 
     if nodes is None:
         budgets = (0, 1, 10, 50, 1000)
     else:
-        budgets = (0, 1, 10, 50, nodes - 1, nodes, isomorphism.DEFAULT_SEARCH_BUDGET)
+        budgets = (0, 1, 10, 50, nodes - 1, nodes, errors.DEFAULT_SEARCH_BUDGET)
     # in increasing order, so a search that needs more nodes than pinned
     # fails at budget `nodes` instead of running on
     for budget in sorted(budgets):
@@ -841,7 +843,7 @@ def test_refuted_moduli_refute_on_row_spans_alone(monkeypatch):
     for m in range(3, 129):
         g = GroupParams.from_modulus(m)
         s1, s2 = close_pairs("right", g), close_pairs("left", g)
-        if gupta_criterion(g) or s1.size != s2.size or s1.size > isomorphism.ISO_ELEMENT_LIMIT:
+        if gupta_criterion(g) or s1.size != s2.size or s1.size > errors.ISO_ELEMENT_LIMIT:
             continue
         assert not np.array_equal(s1.elements, s2.elements)
         res = search_isomorphism(s1, s2)
@@ -871,7 +873,7 @@ def test_monogenic_profiles_match_scalar_walk_on_semigroups():
     checked = 0
     for m, side in cases + [(472, "left"), (2048, "right")]:
         keys = close_pairs(side, GroupParams.from_modulus(m)).elements
-        if len(keys) > isomorphism.ISO_ELEMENT_LIMIT:
+        if len(keys) > errors.ISO_ELEMENT_LIMIT:
             continue
         scaled, sig = isomorphism._scale_table(keys, m, side)
         t = scaled[:, sig]
@@ -896,6 +898,27 @@ def test_search_memory_below_n_squared_bytes():
     assert right.size == 3515 and peak < right.size**2
 
 
+def test_identity_witness_keeps_the_key_arrays():
+    # P = L as sets at m = 4090, 419225 keys: the identity witness holds the
+    # closures' own arrays and a range, not a Python copy of either
+    p, l = _sides(4090)
+    assert p.size == 419225 and np.array_equal(p.elements, l.elements)
+    tracemalloc.start()
+    try:
+        res = search_isomorphism(p, l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.status is IsoStatus.ISOMORPHIC and res.nodes == 0
+    assert np.shares_memory(res.found[0], p.elements)
+    assert np.shares_memory(res.found[2], l.elements)
+    assert peak < 4 << 20
+    p, l = _sides(97)
+    res = search_isomorphism(p, l)
+    assert res.witness == {CanonicalMap.from_key(int(k), 97): CanonicalMap.from_key(int(k), 97)
+                           for k in p.elements}
+
+
 def test_verify_iso_map_answers_without_a_table(monkeypatch):
     def no_table(*_args):
         raise AssertionError("the product table must not be built")
@@ -904,7 +927,7 @@ def test_verify_iso_map_answers_without_a_table(monkeypatch):
     # |P| = |L| = 10201 at m = 101, above the search's cap; both sides are
     # one set, so the identity rule is an isomorphism
     p, l = _sides(101)
-    assert p.size == 10201 > isomorphism.ISO_ELEMENT_LIMIT
+    assert p.size == 10201 > errors.ISO_ELEMENT_LIMIT
     assert verify_iso_map(p, l, np.arange(101), np.arange(101))
 
 
@@ -1248,7 +1271,7 @@ def test_search_finds_the_witness_at_404_with_the_cap_lifted(monkeypatch):
     # witness that must hold on all n^2 pairs
     g = GroupParams.from_modulus(404)
     s1, s2 = close_pairs("right", g), close_pairs("left", g)
-    assert s1.size == s2.size == 10504 > isomorphism.ISO_ELEMENT_LIMIT
+    assert s1.size == s2.size == 10504 > errors.ISO_ELEMENT_LIMIT
     monkeypatch.setattr(isomorphism, "ISO_ELEMENT_LIMIT", s1.size)
     res = search_isomorphism(s1, s2)
     assert (res.status, res.nodes) == (IsoStatus.ISOMORPHIC, 2058)

@@ -1,5 +1,5 @@
-"""Container calculus: member sets, products, disjointness, cardinality
-paths, and the disjoint covers of both commutation semigroups."""
+"""Container calculus: member sets, products, disjointness, part sizes,
+and the disjoint covers of both commutation semigroups."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from commsem import (
     containers_disjoint,
     decompose,
 )
-from commsem.containers import cardinality_detail
 from support import check_container_laws, check_cover_matches_closure
 
 
@@ -53,23 +52,6 @@ def test_disjoint_examples():
     assert not containers_disjoint(Container.from_pair(3, 1, g8), Container.from_pair(3, 2, g8))
 
 
-def test_cardinality_paths_agree():
-    g8 = GroupParams.from_modulus(8)
-    c = Container.from_pair(6, 1, g8)
-    assert cardinality_detail(c, g8, series_index=1)[0] == 4
-    value, path = cardinality_detail(c, g8, series_index=1)
-    assert (value, path) == (4, "central-series")
-    # power-of-two modulus with position at or past ell: fast path hypothesis
-    # fails, so counting falls back to direct enumeration
-    value, path = cardinality_detail(Container.from_pair(0, 2, g8), g8, series_index=3)
-    assert path == "direct-count"
-    assert value == len(container_members(Container.from_pair(0, 2, g8)))
-    g15 = GroupParams.from_modulus(15)
-    c15 = Container.from_pair(-2, 1, g15)
-    assert cardinality_detail(c15, g15, series_index=1)[0] == 15
-    assert cardinality_detail(c15, g15)[0] == 15
-
-
 def test_decompose_examples():
     g8 = GroupParams.from_modulus(8)
     right = decompose("right", g8)
@@ -84,6 +66,8 @@ def test_decompose_examples():
     dec5 = decompose("right", g5)
     assert len(dec5.parts) == 5
     assert dec5.part_sizes(g5) == (5, 5, 5, 5, 5)
+    with pytest.raises(ParameterError):
+        right.part_sizes(g5)
 
     with pytest.raises(ParameterError):
         decompose("up", g8)
