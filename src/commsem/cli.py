@@ -75,14 +75,14 @@ def build_row(m: int, verify_level: str) -> TableRow:
             pair_keys = close_pairs(side, g).elements
             if len(pair_keys) != order:
                 raise ConsistencyError(
-                    f"m={m} side={side}: formula value {order} != "
+                    f"m={m} side={side} stage=close_pairs: formula value {order} != "
                     f"pair-oracle value {len(pair_keys)}"
                 )
             if verify_level == "raw":
                 raw = close_raw(side, g)
                 if raw.size != order:
                     raise ConsistencyError(
-                        f"m={m} side={side}: formula value {order} != "
+                        f"m={m} side={side} stage=close_raw: formula value {order} != "
                         f"raw-oracle value {raw.size}"
                     )
                 raw_keys = canonicalized_elements(raw)
@@ -196,8 +196,15 @@ def _cmd_table(args) -> int:
 
 def _cmd_decompose(args) -> int:
     g = GroupParams.from_modulus(args.m)
-    dec = decompose(args.side, g)
-    sizes = dec.part_sizes(g)
+    dec = decompose(args.side, g)  # first: its cap refuses before any work
+    sizes = dec.part_sizes()
+    rep = order_report(g)  # routes that share no code with the cover
+    t, order = getattr(rep, f"t_{args.side}"), rep.order(args.side)
+    if len(dec.parts) != t or sum(sizes) != order:
+        raise ConsistencyError(
+            f"m={args.m} side={args.side} stage=decompose: cover of {len(dec.parts)} parts "
+            f"totalling {sum(sizes)}, order routes give t = {t} and order {order}"
+        )
     if args.format == "json":
         payload = {
             "m": args.m,

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .central_series import center_order
 from .dihedral import GroupParams, check_side
 from .errors import DECOMPOSE_MODULUS_LIMIT, ParameterError, check_limit
-from .modular import orbit_profile
-from .mumaps import AffineMap, CanonicalMap
+from .mumaps import AffineMap, CanonicalMap, shift_modulus
 
 
 def base_scale(side: str) -> int:
@@ -80,20 +78,22 @@ class Decomposition:
     """Pairwise-disjoint container cover of one commutation semigroup.
 
     parts[0] is the zero-scale container and parts[i] is the i-th power of
-    the base container; t = len(parts) - 1 counts the power containers.
+    the base container.
     """
 
     parts: tuple[Container, ...]
     side: str
-    t: int
 
-    def part_sizes(self, g: GroupParams) -> tuple[int, ...]:
-        """m / |Z_u| for part i, u = max(i, 1).  A power-of-two cover has
-        t = ell - 1 powers, so u stays below ell, where Z_u is a rotation
-        subgroup."""
-        if self.parts[0].modulus != g.m:
-            raise ParameterError("container modulus does not match group modulus")
-        return tuple(g.m // center_order(max(i, 1), g) for i in range(len(self.parts)))
+    @property
+    def t(self) -> int:
+        """Number of power containers."""
+        return len(self.parts) - 1
+
+    def part_sizes(self) -> tuple[int, ...]:
+        """Size of each part: C(A, d) holds sm / gcd(d, sm) maps, sm =
+        shift_modulus(m), since shifts are kept mod sm."""
+        sm = shift_modulus(self.parts[0].modulus)
+        return tuple(sm // math.gcd(part.stride, sm) for part in self.parts)
 
     def member_union(self) -> frozenset[CanonicalMap]:
         out: set[CanonicalMap] = set()
@@ -102,32 +102,18 @@ class Decomposition:
         return frozenset(out)
 
 
-def cover_power_count(side: str, g: GroupParams) -> int:
-    """Number t of power containers in the side's cover (see decompose).
-
-    It follows the orbit profile of the base scale x (-2 right, 2 left):
-    ord(x) when m is odd, ell + period(x) - 1 when m is even with odd part
-    > 1, and ell - 1 when m is a power of two.
-    """
-    prof = orbit_profile(base_scale(side), g.m)
-    if g.ell == 0:
-        return prof.order
-    if g.n > 1:
-        return g.ell + prof.period - 1
-    return g.ell - 1
-
-
 def decompose(side: str, g: GroupParams) -> Decomposition:
     """Cover the chosen commutation semigroup by disjoint containers: the
-    zero-scale container and cover_power_count(side, g) powers of the base
-    container."""
+    zero-scale container, then the powers of the base container up to the
+    first whose scale is already covered, since containers are disjoint
+    exactly when their scales differ."""
     check_limit("decomposition", "m", g.m, DECOMPOSE_MODULUS_LIMIT)
     base = base_scale(side) % g.m
-    t = cover_power_count(side, g)
     parts = [Container.from_pair(0, 1, g)]
+    covered = {0}
     scale_pow, shift_pow = base, 1
-    for _ in range(t):
+    while scale_pow not in covered:
+        covered.add(scale_pow)
         parts.append(Container.from_pair(scale_pow, shift_pow, g))
-        shift_pow = scale_pow
-        scale_pow = scale_pow * base % g.m
-    return Decomposition(tuple(parts), side, t)
+        scale_pow, shift_pow = scale_pow * base % g.m, scale_pow
+    return Decomposition(tuple(parts), side)

@@ -39,15 +39,21 @@ def orbit_profile(x: int, m: int) -> OrbitProfile:
 
 @lru_cache(maxsize=None)
 def _orbit_profile(x: int, m: int) -> OrbitProfile:
-    seen: dict[int, int] = {}
-    value, e = x, 1
-    while value not in seen:
-        seen[value] = e
-        value = value * x % m
-        e += 1
-    index = seen[value]
-    period = e - index
-    order = period if math.gcd(x, m) == 1 else None
+    # m = shared * unit, unit the largest divisor of m prime to x: mod shared
+    # the powers of x fall to 0 and stay there, mod unit they cycle from x^0
+    unit = m
+    while (d := math.gcd(x, unit)) > 1:
+        unit //= d
+    shared = m // unit
+    index, value = 1, x % shared
+    while value:
+        value = value * x % shared
+        index += 1
+    period, value = 1, x % unit
+    while value != 1 % unit:
+        value = value * x % unit
+        period += 1
+    order = period if shared == 1 else None
     return OrbitProfile(x, m, index, period, order)
 
 

@@ -44,7 +44,6 @@ from commsem import (
     rho_map,
 )
 from commsem import raw
-from commsem.raw import _distinct
 
 from commsem.mumaps import CanonicalMap, alpha, beta, shift_modulus
 from perm_oracle import perm_commutator, perm_compose, perm_inverse, perm_of
@@ -285,7 +284,7 @@ def check_cover_matches_closure(m_values) -> None:
             dec = decompose(side, g)
             summary = close_pairs(side, g)
             assert {e.key for e in dec.member_union()} == set(summary.elements.tolist())
-            sizes = dec.part_sizes(g)
+            sizes = dec.part_sizes()
             for part, size in zip(dec.parts, sizes):
                 assert len(container_members(part)) == size
             assert sum(sizes) == summary.size == order_central_series(side, g)
@@ -655,43 +654,3 @@ def reference_verify_iso_map(s1, s2, theta, lam) -> bool:
     if sorted(h.key for h in psi.values()) != s2.elements.tolist():
         return False
     return all(psi[f.then(h)] == psi[f].then(psi[h]) for f in source for h in source)
-
-
-def reference_greedy_generators(mult) -> list[int]:
-    """Reference for isomorphism._greedy_generators: the irreducible elements,
-    then greedy absorption, each round gathering the new elements against
-    the distinct scale columns of all members and all members against those
-    of the new elements, both sorted again from scratch, as the search once
-    did."""
-    table, sig = mult
-    n = len(sig)
-    reducible = np.zeros(n, dtype=bool)
-    reducible[table.ravel()] = True
-    inside = np.zeros(n, dtype=bool)
-    # members[:size] is the generated subsemigroup so far, in absorption order
-    members = np.empty(n, dtype=np.int32)
-
-    def absorb(new: np.ndarray, size: int) -> int:
-        while len(new):
-            inside[new] = True
-            lo, size = size, size + len(new)
-            members[lo:size] = new
-            fresh, known = members[lo:size], members[:size]
-            z = np.concatenate(
-                (
-                    table[fresh[:, None], _distinct(sig[known])].ravel(),
-                    table[known[:, None], _distinct(sig[fresh])].ravel(),
-                )
-            )
-            new = _distinct(z[~inside[z]])
-        return size
-
-    gens = np.flatnonzero(~reducible).tolist()
-    size = absorb(np.asarray(gens, dtype=np.int32), 0)
-    for x in range(n):
-        if size == n:
-            break
-        if not inside[x]:
-            gens.append(x)
-            size = absorb(np.array([x], dtype=np.int32), size)
-    return gens

@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commsem import cli, errors, isomorphism
+from commsem import Decomposition, cli, errors, isomorphism
 from commsem.errors import (
     DEFAULT_SEARCH_BUDGET, ISO_ELEMENT_LIMIT, PAIRS_MODULUS_LIMIT, RAW_MODULUS_LIMIT
 )
@@ -160,7 +161,7 @@ PAIRS_TOP = errors.PAIRS_MODULUS_LIMIT + 1
         ),
         (
             ("decompose", "--m", str(DECOMPOSE_TOP), "--side", "left"),
-            ("containers.cover_power_count",),
+            ("containers.base_scale",),
             f"decomposition limited to m <= {DECOMPOSE_TOP - 1}, got m={DECOMPOSE_TOP}",
         ),
         (
@@ -413,6 +414,81 @@ def test_consistency_error_in_a_command_exits_2(capsys, monkeypatch):
     assert run_cli(capsys, "order", "--m", "9") == (
         2, "", "verification failure: m=9 side=right stage=order_report: 5 != 6\n"
     )
+
+
+def _off_by_one(real):
+    return lambda side, g: real(side, g) + 1
+
+
+def _not_dividing_m(real):
+    return lambda u, g: g.m + 1
+
+
+def _last_element_dropped(real):
+    def patched(side, g):
+        summary = real(side, g)
+        return SemigroupSummary(g.m, side, summary.generator_count, summary.elements[:-1])
+
+    return patched
+
+
+def _last_part_dropped(real):
+    def patched(side, g):
+        dec = real(side, g)
+        return Decomposition(dec.parts[:-1], dec.side)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "argv, target, patch, message",
+    [
+        (
+            ("order", "--m", "9"),
+            "orders.order_casewise",
+            _off_by_one,
+            "m=9 side=right stage=order_report: order routes disagree: "
+            "central series 36, casewise 37, repeat exponent 36",
+        ),
+        (
+            ("order", "--m", "9"),
+            "orders.center_order",
+            _not_dividing_m,
+            "m=9 side=right stage=order_central_series: centre order 10 does not divide 9",
+        ),
+        (
+            ("table", "--from", "8", "--to", "8", "--verify", "pairs"),
+            "cli.close_pairs",
+            _last_element_dropped,
+            "m=8 side=right stage=close_pairs: formula value 10 != pair-oracle value 9",
+        ),
+        (
+            ("table", "--from", "8", "--to", "8", "--verify", "raw"),
+            "cli.close_raw",
+            _last_element_dropped,
+            "m=8 side=right stage=close_raw: formula value 10 != raw-oracle value 9",
+        ),
+        (
+            ("decompose", "--m", "9"),
+            "cli.decompose",
+            _last_part_dropped,
+            "m=9 side=right stage=decompose: cover of 3 parts totalling 27, "
+            "order routes give t = 4 and order 36",
+        ),
+    ],
+    ids=["order_casewise", "center_order", "close_pairs", "close_raw", "decompose"],
+)
+def test_each_disagreement_names_m_side_stage_and_both_values(
+    capsys, monkeypatch, argv, target, patch, message
+):
+    # one route or oracle patched per case; every ConsistencyError has one shape
+    module, name = target.split(".")
+    module = importlib.import_module(f"commsem.{module}")
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.match(r"^verification failure: m=\d+ side=(right|left) stage=\w+: ", err)
+    assert err == f"verification failure: {message}\n"
 
 
 def test_raw_table_outside_the_map_family_exits_2(capsys, monkeypatch):

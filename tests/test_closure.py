@@ -41,7 +41,6 @@ from support import (
     check_pairs_match_formula,
     reference_close_pairs,
     reference_close_tables,
-    reference_greedy_generators,
     reference_mult_table,
     reference_signatures,
     reference_preserves_products,
@@ -1255,14 +1254,6 @@ def test_greedy_generators_generate_the_table(m, side):
         reached.add(gens[k])
         frontier.append(gens[k])
     assert reached == set(range(len(t)))
-
-
-# every table of PROPAGATION_CASES
-@pytest.mark.parametrize("side", ["right", "left"])
-@pytest.mark.parametrize("m", [5, 7, 8, 10, 12, 13, 14, 20, 26, 52])
-def test_greedy_generators_match_reference(m, side):
-    mult = _table(m, side)
-    assert isomorphism._greedy_generators(mult) == reference_greedy_generators(mult)
 
 
 def test_search_finds_the_witness_at_404_with_the_cap_lifted(monkeypatch):

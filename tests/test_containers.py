@@ -7,6 +7,7 @@ from commsem import (
     Container,
     GroupParams,
     ParameterError,
+    center_order,
     container_members,
     container_product,
     containers_disjoint,
@@ -56,8 +57,8 @@ def test_decompose_examples():
     g8 = GroupParams.from_modulus(8)
     right = decompose("right", g8)
     assert [(p.scale, p.stride) for p in right.parts] == [(0, 1), (6, 1), (4, 2)]
-    assert right.part_sizes(g8) == (4, 4, 2)
-    assert sum(right.part_sizes(g8)) == 10
+    assert right.part_sizes() == (4, 4, 2)
+    assert sum(right.part_sizes()) == 10
     left = decompose("left", g8)
     assert [(p.scale, p.stride) for p in left.parts] == [(0, 1), (2, 1), (4, 2)]
     assert left.t == 2 and right.t == 2
@@ -65,12 +66,20 @@ def test_decompose_examples():
     g5 = GroupParams.from_modulus(5)
     dec5 = decompose("right", g5)
     assert len(dec5.parts) == 5
-    assert dec5.part_sizes(g5) == (5, 5, 5, 5, 5)
-    with pytest.raises(ParameterError):
-        right.part_sizes(g5)
+    assert dec5.part_sizes() == (5, 5, 5, 5, 5)
 
     with pytest.raises(ParameterError):
         decompose("up", g8)
+
+
+def test_part_sizes_are_the_central_series_terms():
+    # the paper's per-part claim: part i holds m / |Z_u| maps, u = max(i, 1);
+    # part_sizes reads each size off the part's own stride instead
+    for m in range(3, 1201):
+        g = GroupParams.from_modulus(m)
+        for side in ("right", "left"):
+            sizes = decompose(side, g).part_sizes()
+            assert sizes == tuple(m // center_order(max(i, 1), g) for i in range(len(sizes)))
 
 
 def test_container_laws_small():

